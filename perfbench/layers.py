@@ -83,16 +83,6 @@ def _timed(recorder, name, function, after=None):
     return wrapper
 
 
-def _counted(recorder, function, after):
-    def wrapper(*args, **kwargs):
-        result = function(*args, **kwargs)
-        after(recorder, args, result)
-        return result
-
-    wrapper.__wrapped__ = function
-    return wrapper
-
-
 def _count_compile(recorder, args, artifacts):
     for key, count in artifacts.module_op_counts.items():
         recorder.bump("ir.ops." + key, count)
@@ -102,31 +92,8 @@ def _count_execute(recorder, args, result):
     recorder.bump("exec.operations", result.metrics.total_operations())
 
 
-def _count_incremental(recorder, args, result):
-    recorder.bump("incremental.lookups")
-    if result is not None:
-        recorder.bump("incremental.hits")
-
-
 def _count_fallback(recorder, args, result):
     recorder.bump("vm.fallbacks")
-
-
-def _frontend(recorder, function):
-    """``CompilationSession.frontend`` with the session's own hit count."""
-
-    def frontend(session, source):
-        hits = session.hits
-        index = recorder.open("frontend")
-        try:
-            return function(session, source)
-        finally:
-            recorder.close(index)
-            recorder.bump("frontend.lookups")
-            recorder.bump("frontend.hits", session.hits - hits)
-
-    frontend.__wrapped__ = function
-    return frontend
 
 
 def _pass_manager_run(recorder, function):
@@ -183,9 +150,7 @@ def install(recorder, *, opt_module=None):
     session = pipeline.CompilationSession
     timed(compilers, "compile", "compile", _count_compile)
     timed(compilers, "execute", "execute", _count_execute)
-    replace(session, "frontend", _frontend(recorder, session.frontend))
-    replace(session, "rgn_opt_cached",
-            _counted(recorder, session.rgn_opt_cached, _count_incremental))
+    timed(session, "frontend", "frontend")
     timed(pipeline, "simplify_program", "simplify")
     timed(pipeline, "insert_optimized_rc", "rc_insert")
     timed(pipeline, "generate_lp_module", "lp_codegen")

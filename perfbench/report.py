@@ -141,16 +141,9 @@ def per_layer_metrics(spans, counts, passes, setup_counts):
     for name in COUNT_METRICS:
         metrics[name] = total.get(name, 0)
 
-    def ratio(hits, attempts):
-        attempted = total.get(attempts, 0)
-        return total.get(hits, 0) / attempted if attempted else 0.0
-
-    metrics["frontend.hit_ratio"] = ratio("frontend.hits", "frontend.lookups")
-    metrics["incremental.hit_ratio"] = ratio(
-        "incremental.hits", "incremental.lookups"
-    )
-    metrics["rewrite.apply_ratio"] = ratio(
-        "rewrite.applications", "rewrite.match_attempts"
+    attempts = metrics["rewrite.match_attempts"]
+    metrics["rewrite.apply_ratio"] = (
+        metrics["rewrite.applications"] / attempts if attempts else 0.0
     )
     return metrics
 

@@ -2,9 +2,9 @@
 
 Usage (from the root of the repository)::
 
-    python3 perfbench/roadmap.py [--repeats 7]
+    python3 perfbench/roadmap.py
 
-Prints two tables, each row the median over ``--repeats`` runs:
+Prints two tables, each row the median over ``REPEATS`` runs:
 
 1. one ``python -m repro rbmap_checkpoint.lean --metrics`` run split into
    interpreter start, imports, compile, VM and the rest (fresh traced
@@ -15,7 +15,6 @@ Prints two tables, each row the median over ``--repeats`` runs:
    crash snapshots, fingerprinting, verify and each pass.
 """
 
-import argparse
 import os
 import shutil
 import statistics
@@ -29,6 +28,7 @@ from layers import PASSES, Recorder, install  # noqa: E402
 from report import phase_time, self_times  # noqa: E402
 
 PROGRAM = "rbmap_checkpoint"
+REPEATS = 7
 
 
 def _inclusive(spans, name):
@@ -40,11 +40,11 @@ def _own(spans, name):
                if span == name)
 
 
-def cli_split(source_path, work, repeats):
+def cli_split(source_path, work):
     """Rows of one traced CLI run, each a list over the repeats."""
     rows = {}
     crash = os.path.join(work, "crash")
-    for repeat in range(repeats + 1):
+    for repeat in range(REPEATS + 1):
         stem = os.path.join(work, f"cli{repeat}")
 
         def command(start, stem=stem):
@@ -72,7 +72,7 @@ def cli_split(source_path, work, repeats):
     return rows
 
 
-def rgn_opt_rows(source, work, repeats):
+def rgn_opt_rows(source, work):
     """rgn-opt rows of the shipped and the measurement configuration."""
     from repro.backend.pipeline import (
         CompilationSession,
@@ -88,7 +88,7 @@ def rgn_opt_rows(source, work, repeats):
                            ("measurement_options()",
                             measurement_options("default"))):
         rows = columns.setdefault(label, {})
-        for repeat in range(repeats + 1):
+        for repeat in range(REPEATS + 1):
             recorder = Recorder()
             uninstall = install(recorder)
             try:
@@ -118,10 +118,7 @@ def rgn_opt_rows(source, work, repeats):
     return columns
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args(argv)
+def main():
     from repro.eval.benchmarks import benchmark_sources
 
     source = benchmark_sources()[PROGRAM]
@@ -131,17 +128,17 @@ def main(argv=None):
         source_path = os.path.join(work, PROGRAM + ".lean")
         with open(source_path, "w", encoding="utf-8") as handle:
             handle.write(source)
-        cli = cli_split(source_path, work, args.repeats)
-        rgn_opt = rgn_opt_rows(source, work, args.repeats)
+        cli = cli_split(source_path, work)
+        rgn_opt = rgn_opt_rows(source, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
     print(f"python -m repro {PROGRAM}.lean --metrics "
-          f"(median of {args.repeats}, ms)")
+          f"(median of {REPEATS}, ms)")
     for name, values in cli.items():
         print(f"  {name:<36s} {statistics.median(values) * 1e3:9.1f}")
     labels = list(rgn_opt)
-    print(f"\nrgn-opt phase of {PROGRAM} (median of {args.repeats}, ms)")
+    print(f"\nrgn-opt phase of {PROGRAM} (median of {REPEATS}, ms)")
     print(f"  {'row':<36s}" + "".join(f" {label:>22s}" for label in labels))
     for name in rgn_opt[labels[0]]:
         print(f"  {name:<36s}" + "".join(

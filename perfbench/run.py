@@ -2,7 +2,7 @@
 
 Usage (from the root of the repository)::
 
-    python3 perfbench/run.py --workload cli-oneshot --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload cli-oneshot --seed 1 --seconds 50 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` alternates
 untraced and traced passes and prints the per-layer metrics, a self-time
@@ -18,7 +18,6 @@ results back, so its own bookkeeping is never on the clock.
 from __future__ import annotations
 
 import argparse
-import glob
 import hashlib
 import json
 import math
@@ -83,16 +82,24 @@ class Finished:
         return self.end - self.start
 
 
-def child_env(hash_seed="0"):
-    """Environment of every child: the checkout's ``src`` on the path,
-    bytecode caching on, a fixed hash seed."""
+def child_env(src=SRC, hash_seed="0"):
+    """Environment of every child: ``src`` on the path, bytecode caching
+    on, a fixed hash seed."""
     env = dict(os.environ)
     for name in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX",
                  "PYTHONSTARTUP", "PYTHONPROFILEIMPORTTIME"):
         env.pop(name, None)
-    env["PYTHONPATH"] = SRC
+    env["PYTHONPATH"] = src
     env["PYTHONHASHSEED"] = hash_seed
     return env
+
+
+def copy_sources(dest):
+    """A copy of the checkout's ``src`` without cached bytecode.  A run's
+    children import the compiler from such copies, so the run starts cold
+    where it must and leaves the checkout's ``src`` untouched."""
+    shutil.copytree(SRC, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
 
 
 def spawn(make_command, env, stem, timeout):
@@ -135,7 +142,7 @@ def run_worker(mode, workload, work, stem, timeout, *extra):
         lambda start: [PYTHON, WORKER, mode, "--workload", workload,
                        "--work", work, "--out", out, "--spawned", repr(start),
                        *extra],
-        child_env(), stem, timeout,
+        child_env(os.path.join(work, "src")), stem, timeout,
     )
     if finished.code != 0:
         raise BenchmarkError(
@@ -261,16 +268,15 @@ def run_cli_oneshot(plan, work, seconds, trace):
     opt = {job["program"]: job for job in plan["jobs"] if job["kind"] == "opt"}
     setup = []
     for sample in range(SETUP_SAMPLES):
-        # A cold start: no cached bytecode for the compiler's modules.
-        for cache in glob.glob(os.path.join(SRC, "**", "__pycache__"),
-                               recursive=True):
-            shutil.rmtree(cache)
+        # A cold start: no cached bytecode for the compiler's modules.  The
+        # timed passes import from the last copy, which this warms.
+        src = copy_sources(os.path.join(work, f"src-cold{sample}"))
         took = 0.0
         for job in (lean["rbmap_checkpoint"], opt["rbmap_checkpoint"]):
             module, args = _cli_args(job, work, f"setup{sample}")
             stem = os.path.join(work, f"setup{sample}-{job['id']}")
             finished = spawn(lambda start: [PYTHON, "-m", module, *args],
-                             child_env(), stem, JOB_TIMEOUT_S)
+                             child_env(src), stem, JOB_TIMEOUT_S)
             if finished.code != 0:
                 raise BenchmarkError(
                     f"set-up run of {job['id']} exited {finished.code}:\n"
@@ -287,7 +293,7 @@ def run_cli_oneshot(plan, work, seconds, trace):
         traced = trace and index % 2 == 1
         # Passes alternate between two hash seeds, so the determinism check
         # also covers PYTHONHASHSEED.
-        env = child_env(str((index // (2 if trace else 1)) % 2))
+        env = child_env(src, str((index // (2 if trace else 1)) % 2))
         pass_start = time.perf_counter()
         records = [cli_job(job, work, index, env, spans if traced else None)
                    for job in plan["jobs"]]
@@ -315,7 +321,8 @@ def run_cli_oneshot(plan, work, seconds, trace):
 # -- vm-xlarge ---------------------------------------------------------------
 
 
-def run_vm_xlarge(workload, work, seconds, trace):
+def run_vm_xlarge(plan, work, seconds, trace):
+    workload = plan["workload"]
     setup = []
     for sample in range(SETUP_SAMPLES):
         _, probe = run_worker("setup", workload, work,
@@ -323,8 +330,12 @@ def run_vm_xlarge(workload, work, seconds, trace):
                               PREPARE_TIMEOUT_S)
         setup.append(probe["setup_s"])
     least = TRACED_MIN_PASSES if trace else MIN_PASSES
+    # Long enough for the minimum passes at JOB_TIMEOUT_S a job, so a slow
+    # but correct program still gives a result.
+    jobs = least * (2 if trace else 1) * len(plan["jobs"])
+    timeout = PREPARE_TIMEOUT_S + seconds + jobs * JOB_TIMEOUT_S
     finished, result = run_worker(
-        "run", workload, work, os.path.join(work, "run"), seconds + 100.0,
+        "run", workload, work, os.path.join(work, "run"), timeout,
         "--seconds", repr(seconds), "--trace", str(int(trace)),
         "--min-passes", str(least),
     )
@@ -458,6 +469,7 @@ def run(workload, seed, seconds, trace):
     work = os.path.join(OUT, f"work-{workload}-{seed}-{os.getpid()}")
     os.makedirs(os.path.join(work, "crash"))
     try:
+        copy_sources(os.path.join(work, "src"))
         calib_start = calibrate()
         _, plan = run_worker("prepare", workload, work,
                              os.path.join(work, "prepare"), PREPARE_TIMEOUT_S,
@@ -467,7 +479,7 @@ def run(workload, seed, seconds, trace):
         if workload == "cli-oneshot":
             outcome = run_cli_oneshot(plan, work, seconds, trace)
         else:
-            outcome = run_vm_xlarge(workload, work, seconds, trace)
+            outcome = run_vm_xlarge(plan, work, seconds, trace)
         crashes = os.listdir(os.path.join(work, "crash"))
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -507,7 +519,7 @@ def main(argv=None):
     parser.add_argument("--workload", required=True,
                         choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     try:

@@ -2,7 +2,9 @@
 
 Usage (from the root of the repository)::
 
-    python3 perfbench/spread.py --workload vm-xlarge --seeds 1-10
+    python3 perfbench/spread.py --workload vm-xlarge
+
+Runs seeds 1 to 10 with tracing off.
 
 The spread is the distance between the first and third quartile of the
 runs' values (``statistics.quantiles(values, n=4)``) as a share of their
@@ -18,28 +20,22 @@ import sys
 
 BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
-
-
-def seeds(text):
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+SEEDS = range(1, 11)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seeds, default=seeds("1-10"))
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
-    bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     values = {}
-    for seed in args.seeds:
+    for seed in SEEDS:
         done = subprocess.run(
             [*spec["command"], "--workload", args.workload,
              "--seed", str(seed), "--seconds", str(spec["run_seconds"]),
-             "--trace", str(args.trace)],
+             "--trace", "0"],
             cwd=ROOT, capture_output=True, text=True, check=True,
         )
         result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -53,9 +49,7 @@ def main(argv=None):
         median = statistics.median(series)
         q1, _, q3 = statistics.quantiles(series, n=4)
         spread = (q3 - q1) / median if median else 0.0
-        bound = bounds.get(name)
-        print(f"{name:<28s} {median:14.6g} {spread:8.4f} "
-              f"{'' if bound is None else bound:>6}")
+        print(f"{name:<28s} {median:14.6g} {spread:8.4f} {bounds[name]:>6}")
 
 
 if __name__ == "__main__":
