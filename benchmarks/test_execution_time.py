@@ -16,6 +16,7 @@ Asserts the acceptance criteria of the execution-engine work:
   by VM 2.0) runs under the VM with unchanged observables.
 """
 
+import statistics
 import time
 
 import pytest
@@ -31,6 +32,9 @@ from repro.eval.benchmarks import (
 from repro.eval.harness import measurement_options
 from repro.interp.bytecode import VirtualMachine, compile_cfg_module
 from repro.interp.cfg_interp import CfgInterpreter
+
+#: Alternating (threaded, switch) timing pairs behind the VM 2.0 gate.
+SPEED_PAIRS = 11
 
 
 @pytest.fixture(scope="module")
@@ -123,8 +127,11 @@ class TestVm2Speed:
         makes it slightly *faster* than that engine's recursive loop, so
         the bar is conservative).  "Largest" means the most executed
         instructions at the ``large`` tier: dispatch work is what the
-        optimisation targets.  Interleaved best-of-three timings absorb
-        CI-runner noise; the observed ratio is ~2.4x.
+        optimisation targets.  The two arms alternate, and the gate takes
+        the median of the per-pair ratios: a load swing on a shared runner
+        then slows both runs of a pair rather than one arm, and a single
+        outlier pair cannot decide the result.  The observed ratio is
+        2.0-2.4x depending on the host.
         """
         session = CompilationSession()
         compiler = MlirCompiler(measurement_options("default"), session=session)
@@ -159,14 +166,18 @@ class TestVm2Speed:
             )
 
         threaded_seconds()  # warm the closure cache and the CPU
-        best_threaded = min(threaded_seconds() for _ in range(3))
-        best_switch = min(switch_seconds() for _ in range(3))
-        assert best_threaded > 0
-        ratio = best_switch / best_threaded
+        switch_seconds()
+        pairs = [
+            (threaded_seconds(), switch_seconds()) for _ in range(SPEED_PAIRS)
+        ]
+        assert all(threaded > 0 for threaded, _ in pairs)
+        ratio = statistics.median(switch / threaded for threaded, switch in pairs)
         assert ratio >= 2.0, (
-            f"{largest}: switch-unfused {best_switch * 1e3:.1f}ms vs "
-            f"threaded-fused {best_threaded * 1e3:.1f}ms — "
-            f"speedup {ratio:.2f}x < 2x"
+            f"{largest}: switch-unfused vs threaded-fused, median of "
+            f"{SPEED_PAIRS} alternating pairs: speedup {ratio:.2f}x < 2x "
+            f"(pairs in ms: "
+            + ", ".join(f"{t * 1e3:.0f}/{s * 1e3:.0f}" for t, s in pairs)
+            + ")"
         )
 
     def test_fusion_shrinks_the_dynamic_instruction_stream(self):

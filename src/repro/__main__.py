@@ -32,6 +32,7 @@ Exit codes tell failure layers apart (see ``docs/RESILIENCE.md``):
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from contextlib import nullcontext
 from typing import List, Optional
@@ -396,4 +397,9 @@ def _dispatch(args, source: str) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    exit_code = main()
+    # The process ends here: move every live object to the permanent
+    # generation so interpreter teardown does not collect the whole
+    # import-time object graph.  Not in main(), which tests call in-process.
+    gc.freeze()
+    raise SystemExit(exit_code)

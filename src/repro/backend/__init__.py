@@ -1,54 +1,50 @@
 """Backends: λrc → lp codegen, lp → rgn and rgn → CFG lowerings, the baseline
-C emitter and the end-to-end pipeline drivers."""
+C emitter and the end-to-end pipeline drivers.
 
-from .c_backend import emit_c_source
-from .lowering_context import LabelScope, LoweringContext
-from .lp_codegen import CodegenError, generate_lp_module
-from .lp_to_rgn import LpToRgnPass, lower_lp_to_rgn
-from .pipeline import (
-    FIGURE10_VARIANTS,
-    RC_VARIANTS,
-    BaselineCompiler,
-    CompilationArtifacts,
-    CompilationSession,
-    Frontend,
-    MlirCompiler,
-    PipelineOptions,
-    build_spec_pipeline,
-    rgn_optimization_pipeline,
-    rgn_pipeline_spec,
-    run_all_backends,
-    run_baseline,
-    run_mlir,
-    run_rc_variant,
-    run_reference,
-)
-from .rgn_to_cf import RgnToCfPass, lower_rgn_to_cf
+The exports resolve lazily (PEP 562): ``from repro.backend import run_mlir``
+imports :mod:`repro.backend.pipeline` on first use, so importing a light
+submodule such as :mod:`repro.backend.options` does not pull in the whole
+compiler.
+"""
 
-__all__ = [
-    "emit_c_source",
-    "LabelScope",
-    "LoweringContext",
-    "CodegenError",
-    "generate_lp_module",
-    "LpToRgnPass",
-    "lower_lp_to_rgn",
-    "FIGURE10_VARIANTS",
-    "RC_VARIANTS",
-    "BaselineCompiler",
-    "CompilationArtifacts",
-    "CompilationSession",
-    "Frontend",
-    "MlirCompiler",
-    "PipelineOptions",
-    "build_spec_pipeline",
-    "rgn_optimization_pipeline",
-    "rgn_pipeline_spec",
-    "run_all_backends",
-    "run_baseline",
-    "run_mlir",
-    "run_rc_variant",
-    "run_reference",
-    "RgnToCfPass",
-    "lower_rgn_to_cf",
-]
+import importlib
+
+#: Exported name -> the submodule defining it.
+_EXPORTS = {
+    "emit_c_source": "c_backend",
+    "LabelScope": "lowering_context",
+    "LoweringContext": "lowering_context",
+    "CodegenError": "lp_codegen",
+    "generate_lp_module": "lp_codegen",
+    "LpToRgnPass": "lp_to_rgn",
+    "lower_lp_to_rgn": "lp_to_rgn",
+    "FIGURE10_VARIANTS": "options",
+    "RC_VARIANTS": "options",
+    "PipelineOptions": "options",
+    "rgn_pipeline_spec": "options",
+    "BaselineCompiler": "pipeline",
+    "CompilationArtifacts": "pipeline",
+    "CompilationSession": "pipeline",
+    "Frontend": "pipeline",
+    "MlirCompiler": "pipeline",
+    "build_spec_pipeline": "pipeline",
+    "rgn_optimization_pipeline": "pipeline",
+    "run_all_backends": "pipeline",
+    "run_baseline": "pipeline",
+    "run_mlir": "pipeline",
+    "run_rc_variant": "pipeline",
+    "run_reference": "pipeline",
+    "RgnToCfPass": "rgn_to_cf",
+    "lower_rgn_to_cf": "rgn_to_cf",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

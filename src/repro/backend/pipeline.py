@@ -28,7 +28,7 @@ import copy
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..dialects.builtin import ModuleOp
 from ..interp.bytecode import (
@@ -49,7 +49,7 @@ from ..lambda_pure.simplifier import simplify_program
 from ..ir.printer import print_module
 from ..lean.parser import parse_program
 from ..lean.typecheck import check_program
-from ..rc_opt import RcOptReport, insert_optimized_rc
+from ..rc_opt.optimize import RcOptReport, insert_optimized_rc
 from ..resilience.budgets import ExecutionBudget, make_execution_budget
 from ..resilience.bundle import CrashBundleWriter
 from ..resilience.faults import InjectedFault, fault_hit
@@ -63,107 +63,17 @@ from ..telemetry import (
     metric_component,
 )
 from ..transforms.canonicalize import canonicalization_patterns
-from .c_backend import emit_c_source
 from .incremental import run_incremental_rgn_opt
 from .lowering_context import LoweringContext
 from .lp_codegen import generate_lp_module
 from .lp_to_rgn import lower_lp_to_rgn
+from .options import (
+    FIGURE10_VARIANTS,
+    RC_VARIANTS,
+    PipelineOptions,
+    rgn_pipeline_spec,
+)
 from .rgn_to_cf import lower_rgn_to_cf
-
-
-@dataclass
-class PipelineOptions:
-    """Configuration knobs of the lp+rgn pipeline."""
-
-    #: Run the λpure simplifier before reference-count insertion.
-    run_lambda_simplifier: bool = True
-    #: Keep LEAN's ``simp_case`` sub-pass enabled inside the simplifier.
-    enable_simp_case: bool = True
-    #: Run the rgn optimisation pipeline between lp→rgn and rgn→cf.
-    run_rgn_optimizations: bool = True
-    #: Individual rgn passes (used by the ablation benchmarks).
-    enable_dead_region_elimination: bool = True
-    enable_region_gvn: bool = True
-    enable_case_elimination: bool = True
-    enable_common_branch_elimination: bool = True
-    enable_constant_fold: bool = True
-    enable_cse: bool = True
-    #: RC optimisation level applied between RC insertion and lowering
-    #: ("naive", "opt" or "opt+reuse"; see :mod:`repro.rc_opt`).
-    rc_mode: str = "naive"
-    #: Pattern-rewrite fixpoint engine: "worklist" (incremental, the
-    #: default) or "rescan" (the quadratic seed driver, kept for the
-    #: compile-time differential benchmarks).
-    rewrite_engine: str = "worklist"
-    #: Execution engine for compiled modules: "vm" (register-based
-    #: bytecode, the default) or "tree" (the tree-walking interpreters,
-    #: kept as differential oracles).
-    execution_engine: str = "vm"
-    #: VM dispatch mode: "threaded" (closure-per-instruction direct
-    #: threading, the default) or "switch" (the tuple-decoding loop, kept
-    #: as the in-VM oracle).  Ignored by the tree engine.
-    dispatch: str = "threaded"
-    #: Run the superinstruction fusion peephole over compiled bytecode.
-    #: Fused instructions charge exactly the unfused events, so this only
-    #: changes execution speed, never metrics or results.
-    superinstructions: bool = True
-    #: Verify the IR after every pass (slower; on by default in tests).
-    verify_each: bool = True
-    #: Print per-pass wall time and rewrite counters while compiling.
-    verbose_passes: bool = False
-    #: Pass names whose output IR is printed after they run
-    #: (``--print-ir-after=<pass>``, MLIR's ``--mlir-print-ir-after``).
-    print_ir_after: Tuple[str, ...] = ()
-    #: Print the module after every pass (``--print-ir-after-all``).
-    print_ir_after_all: bool = False
-    #: On a pass failure (pattern non-convergence or a ``verify_each``
-    #: rejection), dump the offending function's IR and the pass name.
-    print_ir_on_failure: bool = True
-    #: Serve rgn-opt results from the session's fingerprint-keyed
-    #: per-function cache (no effect without a session; see
-    #: :mod:`repro.backend.incremental`).
-    incremental_rgn_opt: bool = True
-    #: Pipeline points whose textual IR to capture into
-    #: ``CompilationArtifacts.captured_ir``: any of "lp" (after lp
-    #: codegen/fusion), "rgn" (entering rgn-opt), "rgn-opt" (leaving it).
-    #: The lowerings mutate modules in place, so these snapshots cannot be
-    #: reconstructed after the fact.
-    capture_ir: Tuple[str, ...] = ()
-    #: Directory to write crash reproducer bundles into when a pass fails
-    #: (None disables bundle writing; see :mod:`repro.resilience.bundle`).
-    crash_bundle_dir: Optional[str] = None
-    #: Graceful-degradation ladders: VM fault → tree-walker re-execution,
-    #: corrupt cache entry → recompute (see ``docs/RESILIENCE.md``).
-    enable_fallbacks: bool = True
-    #: Execution budget applied when running compiled programs: wall-clock
-    #: seconds and/or control-transfer steps (None = unbounded).  A tripped
-    #: budget raises :class:`~repro.resilience.budgets.
-    #: ExecutionBudgetExceeded` instead of hanging.
-    execution_budget_seconds: Optional[float] = None
-    execution_budget_steps: Optional[int] = None
-
-    def execution_budget(self) -> Optional[ExecutionBudget]:
-        """A fresh :class:`ExecutionBudget` for one run, or None."""
-        return make_execution_budget(
-            self.execution_budget_seconds, self.execution_budget_steps
-        )
-
-    @classmethod
-    def variant(cls, name: str) -> "PipelineOptions":
-        """The variants of Figure 10 and of the RC-optimisation ablation."""
-        if name == "simplifier":
-            return cls(run_lambda_simplifier=True, run_rgn_optimizations=False)
-        if name == "rgn":
-            return cls(run_lambda_simplifier=False, run_rgn_optimizations=True)
-        if name == "none":
-            return cls(run_lambda_simplifier=False, run_rgn_optimizations=False)
-        if name in RC_VARIANTS:
-            return cls(rc_mode=name[len("rc-"):])
-        raise ValueError(f"unknown pipeline variant {name!r}")
-
-
-FIGURE10_VARIANTS = ("simplifier", "rgn", "none")
-RC_VARIANTS = ("rc-naive", "rc-opt", "rc-opt+reuse")
 
 
 def _check_execution_engine(engine: str) -> None:
@@ -488,43 +398,6 @@ def canonicalization_drain_patterns(options: PipelineOptions) -> List:
 #: optimised RC modes (the SSA twin of dup/drop fusion).
 LP_FUSION_SPEC = "lp-rc-fusion"
 
-#: The ablation flag of ``PipelineOptions`` -> the ``canonicalize`` pass's
-#: ``ablate=`` choice it corresponds to.
-_ABLATION_FLAGS = (
-    ("enable_constant_fold", "constant-fold"),
-    ("enable_case_elimination", "case-elim"),
-    ("enable_common_branch_elimination", "common-branch"),
-    ("enable_dead_region_elimination", "dead-region"),
-)
-
-
-def rgn_pipeline_spec(options: PipelineOptions) -> str:
-    """The textual pipeline spec of the rgn optimisation pipeline.
-
-    The default configuration reads ``cse,region-gvn,canonicalize,dce`` —
-    runnable verbatim through ``python -m repro.opt``.  Ablation flags map
-    onto ``canonicalize{ablate=...}`` options (dropping a pattern family
-    from the drain rather than a pipeline stage), and a fully-ablated drain
-    drops the ``canonicalize`` element entirely.
-    """
-    parts = []
-    if options.enable_cse:
-        parts.append("cse")
-    if options.enable_region_gvn:
-        parts.append("region-gvn")
-    drain_options = [
-        f"ablate={choice}"
-        for flag, choice in _ABLATION_FLAGS
-        if not getattr(options, flag)
-    ]
-    if len(drain_options) < len(_ABLATION_FLAGS):
-        if options.rewrite_engine != "worklist":
-            drain_options.append(f"engine={options.rewrite_engine}")
-        suffix = "{" + ",".join(drain_options) + "}" if drain_options else ""
-        parts.append("canonicalize" + suffix)
-    parts.append("dce")
-    return ",".join(parts)
-
 
 def build_spec_pipeline(spec: str, options: PipelineOptions) -> PassManager:
     """Build the pipeline of ``spec`` under the knobs of ``options``."""
@@ -619,6 +492,8 @@ class BaselineCompiler:
             with phases.phase("rc-insert"):
                 rc, rc_report = insert_optimized_rc(optimized, self.rc_mode)
             with phases.phase("c-emit"):
+                from .c_backend import emit_c_source
+
                 c_source = emit_c_source(rc)
         return CompilationArtifacts(
             surface_source=source,

@@ -41,11 +41,12 @@ reproduces the compiler's rgn-opt phase byte-identically.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from contextlib import nullcontext
 from typing import List, Optional
 
-from .backend.pipeline import PipelineOptions, rgn_pipeline_spec
+from .backend.options import PipelineOptions, rgn_pipeline_spec
 from .ir.parser import ParseError, parse_module
 from .ir.printer import print_module
 from .ir.verifier import VerificationError, verify
@@ -304,4 +305,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    exit_code = main()
+    # The process ends here: move every live object to the permanent
+    # generation so interpreter teardown does not collect the whole
+    # import-time object graph.  Not in main(), which tests call in-process.
+    gc.freeze()
+    raise SystemExit(exit_code)

@@ -15,81 +15,41 @@ Beans" scheme and Koka's Perceus precise reference counting:
 * :mod:`repro.rc_opt.lp_fusion` — the SSA twin of dup/drop fusion as a pass
   over the lp dialect.
 
-:func:`insert_optimized_rc` is the front door used by the compilation
-pipelines: it performs RC insertion at one of three optimisation levels
-(``naive`` / ``opt`` / ``opt+reuse``), matching the pipeline ablation
-variants ``rc-naive`` / ``rc-opt`` / ``rc-opt+reuse``.
+:func:`insert_optimized_rc` (:mod:`repro.rc_opt.optimize`) is the front
+door used by the compilation pipelines: it performs RC insertion at one of
+three optimisation levels (``naive`` / ``opt`` / ``opt+reuse``), matching
+the pipeline ablation variants ``rc-naive`` / ``rc-opt`` / ``rc-opt+reuse``.
+
+The exports resolve lazily (PEP 562), so the pass registry can import
+:mod:`repro.rc_opt.lp_fusion` without loading the λpure/λrc analyses.
 """
 
-from __future__ import annotations
+import importlib
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+#: Exported name -> the submodule defining it.
+_EXPORTS = {
+    "RC_MODES": "optimize",
+    "RcOptReport": "optimize",
+    "insert_optimized_rc": "optimize",
+    "BorrowSignatures": "optimize",
+    "FusionStats": "fusion",
+    "fuse_rc": "fusion",
+    "ReuseStats": "reuse",
+    "apply_reuse": "reuse",
+    "LpRcFusionPass": "lp_fusion",
+    "fuse_lp_module": "lp_fusion",
+    "borrowed_parameter_count": "borrow",
+    "infer_borrow_signatures": "borrow",
+    "reuse_critical_params": "borrow",
+}
 
-from ..lambda_pure.ir import Program
-from ..lambda_rc.refcount import BorrowSignatures, insert_rc
-from .borrow import (
-    borrowed_parameter_count,
-    infer_borrow_signatures,
-    reuse_critical_params,
-)
-from .fusion import FusionStats, fuse_rc
-from .lp_fusion import LpRcFusionPass, fuse_lp_module
-from .reuse import ReuseStats, apply_reuse
-
-#: The RC optimisation levels understood by the pipelines.
-RC_MODES = ("naive", "opt", "opt+reuse")
-
-
-@dataclass
-class RcOptReport:
-    """What the optimiser did to one program."""
-
-    mode: str = "naive"
-    borrowed_parameters: int = 0
-    signatures: BorrowSignatures = field(default_factory=dict)
-    fusion: FusionStats = field(default_factory=FusionStats)
-    reuse: ReuseStats = field(default_factory=ReuseStats)
+__all__ = list(_EXPORTS)
 
 
-def insert_optimized_rc(
-    pure_program: Program, mode: str = "naive"
-) -> Tuple[Program, RcOptReport]:
-    """λpure → λrc at the requested optimisation level.
-
-    * ``naive``      — the seed owned-arguments discipline,
-    * ``opt``        — borrow inference + dup/drop fusion,
-    * ``opt+reuse``  — ``opt`` plus constructor-reuse analysis.
-    """
-    if mode not in RC_MODES:
-        raise ValueError(f"unknown RC optimisation mode {mode!r}")
-    report = RcOptReport(mode=mode)
-    if mode == "naive":
-        return insert_rc(pure_program), report
-
-    keep_owned = reuse_critical_params(pure_program) if mode == "opt+reuse" else None
-    signatures = infer_borrow_signatures(pure_program, keep_owned)
-    report.signatures = signatures
-    report.borrowed_parameters = borrowed_parameter_count(signatures)
-    rc_program = insert_rc(pure_program, signatures)
-    rc_program, report.fusion = fuse_rc(rc_program)
-    if mode == "opt+reuse":
-        rc_program, report.reuse = apply_reuse(rc_program)
-    return rc_program, report
-
-
-__all__ = [
-    "RC_MODES",
-    "RcOptReport",
-    "BorrowSignatures",
-    "FusionStats",
-    "ReuseStats",
-    "LpRcFusionPass",
-    "apply_reuse",
-    "borrowed_parameter_count",
-    "fuse_lp_module",
-    "fuse_rc",
-    "infer_borrow_signatures",
-    "insert_optimized_rc",
-    "reuse_critical_params",
-]
+def __getattr__(name):
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
+    globals()[name] = value
+    return value

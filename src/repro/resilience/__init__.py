@@ -15,6 +15,8 @@ The compiler's failure-path machinery (see ``docs/RESILIENCE.md``):
 * :mod:`~repro.resilience.bisect` — re-runs a bundle pass by pass to
   isolate the first faulty pass (and for pattern passes the faulty
   pattern), appending a minimal one-pass reproducer to the bundle.
+  Imported on first use of ``bisect_bundle`` (PEP 562), since only a
+  crash needs it.
 
 Every recovery the stack performs (VM → tree fallback, worklist →
 rescan retry, cache quarantine + clean recompile) counts under the
@@ -28,7 +30,6 @@ from .budgets import (
     RewriteBudgetExceeded,
 )
 from .bundle import CrashBundle, CrashBundleWriter, load_bundle
-from .bisect import bisect_bundle
 from .faults import (
     FaultPlan,
     InjectedFault,
@@ -54,3 +55,11 @@ __all__ = [
     "fault_plan",
     "known_sites",
 ]
+
+
+def __getattr__(name):
+    if name == "bisect_bundle":
+        from .bisect import bisect_bundle
+
+        return bisect_bundle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

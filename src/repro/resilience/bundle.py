@@ -32,7 +32,6 @@ re-crashes do not pile up duplicates.
 from __future__ import annotations
 
 import json
-import platform
 import sys
 from dataclasses import dataclass
 from hashlib import sha256
@@ -119,6 +118,8 @@ def load_bundle(path: Union[str, Path]) -> CrashBundle:
 
 
 def _environment_snapshot() -> Dict[str, str]:
+    import platform  # only a crash needs it
+
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

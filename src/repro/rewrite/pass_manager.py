@@ -26,12 +26,15 @@ from typing import Dict, List, Optional, Sequence
 
 from ..ir.core import Operation
 from ..ir.verifier import verify
-from ..resilience.faults import active_plan, fault_hit
+from ..resilience.faults import active_plan, fault_hit, fault_plan
 from ..telemetry import (
+    NULL_REGISTRY,
+    NULL_TRACER,
     PassInstrumentation,
     get_metrics,
     get_tracer,
     metric_component,
+    telemetry_session,
 )
 
 
@@ -134,9 +137,10 @@ class PassManager:
     rejection writes a crash reproducer bundle — the textual IR as it
     stood before the failing pass, the remaining pipeline spec, and the
     active fault plan re-based to that point — before the exception
-    propagates (tagged with ``error.crash_bundle``).  Snapshotting the IR
-    per pass costs a print, so handlers are attached on the failure-path
-    pipelines (the CLIs, the fuzzers), not the benchmark loops.
+    propagates (tagged with ``error.crash_bundle``).  A run with a handler
+    prints its input IR once; only a failure pays for rebuilding the
+    pre-pass IR from it (:meth:`_replay_prefix`, MLIR's lazy crash
+    reproducer), so the handler costs one print per run.
     """
 
     def __init__(
@@ -175,15 +179,39 @@ class PassManager:
         for instr in self.instrumentations:
             instr.run_after_pass_failed(pass_, module, error)
 
+    def _replay_prefix(self, input_ir: str, index: int) -> str:
+        """The IR as it stood before pass ``index`` of a run on ``input_ir``.
+
+        Re-parses the run's input snapshot and replays the passes before
+        ``index`` as fresh instances built from their specs, with no fault
+        plan, instrumentation, tracer or metrics attached.  Exact because
+        print → parse → print round-trips and passes are deterministic.
+        """
+        if index == 0:
+            return input_ir
+        from ..ir.parser import parse_module
+        from ..ir.printer import print_module
+        from .registry import build_passes
+
+        module = parse_module(input_ir)
+        prefix = build_passes(
+            ",".join(p.spec or p.name for p in self.passes[:index])
+        )
+        with fault_plan(None), telemetry_session(NULL_TRACER, NULL_REGISTRY):
+            for pass_ in prefix:
+                pass_.strict_convergence = self.verify_each
+                pass_.run(module)
+        return print_module(module)
+
     def _handle_crash(
         self,
         index: int,
-        pre_pass_ir: Optional[str],
+        input_ir: Optional[str],
         hits_baseline: Dict[str, int],
         error: Exception,
     ) -> None:
         """Write a crash bundle for a failure in pass ``index`` (guarded)."""
-        if self.crash_handler is None or pre_pass_ir is None:
+        if self.crash_handler is None or input_ir is None:
             return
         remaining = ",".join(
             p.spec or p.name for p in self.passes[index:]
@@ -194,7 +222,7 @@ class PassManager:
         )
         try:
             path = self.crash_handler.on_crash(
-                pre_pass_ir=pre_pass_ir,
+                pre_pass_ir=self._replay_prefix(input_ir, index),
                 remaining_spec=remaining,
                 failing_pass=self.passes[index].name,
                 error=error,
@@ -211,18 +239,18 @@ class PassManager:
     def run(self, module: Operation) -> Operation:
         tracer = get_tracer()
         registry = get_metrics()
+        input_ir: Optional[str] = None
+        if self.crash_handler is not None:
+            from ..ir.printer import print_module
+
+            input_ir = print_module(module)
         for index, pass_ in enumerate(self.passes):
             pass_.strict_convergence = self.verify_each
             before = dict(pass_.statistics.counters)
-            pre_pass_ir: Optional[str] = None
             hits_baseline: Dict[str, int] = {}
-            if self.crash_handler is not None:
-                from ..ir.printer import print_module
-
-                pre_pass_ir = print_module(module)
-                plan = active_plan()
-                if plan is not None:
-                    hits_baseline = plan.snapshot_hits()
+            plan = active_plan()
+            if input_ir is not None and plan is not None:
+                hits_baseline = plan.snapshot_hits()
             for instr in self.instrumentations:
                 instr.run_before_pass(pass_, module)
             start = time.perf_counter()
@@ -232,7 +260,7 @@ class PassManager:
                     pass_.run(module)
             except Exception as error:
                 self._notify_failed(pass_, module, error)
-                self._handle_crash(index, pre_pass_ir, hits_baseline, error)
+                self._handle_crash(index, input_ir, hits_baseline, error)
                 raise
             elapsed = time.perf_counter() - start
             # Merge this run's counter *delta* into the per-name statistics.
@@ -266,7 +294,7 @@ class PassManager:
                         verify(module)
                 except Exception as error:
                     self._notify_failed(pass_, module, error)
-                    self._handle_crash(index, pre_pass_ir, hits_baseline, error)
+                    self._handle_crash(index, input_ir, hits_baseline, error)
                     raise
             for instr in self.instrumentations:
                 instr.run_after_pass(pass_, module)

@@ -18,21 +18,28 @@ Five layers, mirroring ``docs/RESILIENCE.md``:
 """
 
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.backend import pipeline as backend_pipeline
 from repro.backend.pipeline import (
     CompilationSession,
     MlirCompiler,
     PipelineOptions,
+    rgn_pipeline_spec,
     run_baseline,
     run_mlir,
     run_reference,
 )
+from repro.eval.benchmarks import benchmark_sources
+from repro.ir.parser import parse_module
+from repro.ir.printer import print_module
 from repro.opt import main as opt_main
 from repro.resilience import (
     CrashBundleWriter,
@@ -48,7 +55,7 @@ from repro.resilience import (
 from repro.resilience.faults import STATIC_SITES
 from repro.interp.limits import DEFAULT_RECURSION_LIMIT, recursion_limit
 from repro.rewrite.registry import build_pipeline, registered_passes
-from repro.telemetry import telemetry_session
+from repro.telemetry import PassInstrumentation, telemetry_session
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESILIENCE_MD = REPO_ROOT / "docs" / "RESILIENCE.md"
@@ -277,6 +284,116 @@ class TestPassSiteSweep:
             fault_specs=["pass.cse:1"],
             verify_each=False,
         ) == path
+
+
+# ---------------------------------------------------------------------------
+# Lazy crash snapshots: a run prints its input once, and a failure in pass i
+# rebuilds the pre-pass IR by replaying passes[:i]
+# ---------------------------------------------------------------------------
+
+#: The default rgn pipeline, as a list of pass names.
+DEFAULT_PASSES = rgn_pipeline_spec(PipelineOptions()).split(",")
+
+#: (fault, index of the pass it fails): the entry site of every default
+#: pass, and the verifier after each of them.
+PREFIX_FAULTS = [
+    (f"pass.{name}:1", index) for index, name in enumerate(DEFAULT_PASSES)
+] + [(f"verify:{index + 1}", index) for index in range(len(DEFAULT_PASSES))]
+
+
+@pytest.fixture(scope="module")
+def rbmap_rgn_ir():
+    """Textual rgn IR of the rbmap benchmark, entering the rgn optimisations."""
+    options = PipelineOptions(capture_ir=("rgn",))
+    source = benchmark_sources()["rbmap_checkpoint"]
+    return MlirCompiler(options).compile(source).captured_ir["rgn"]
+
+
+def crash_default_pipeline(ir: str, fault: str, crash_dir) -> Path:
+    """Run the default pipeline on ``ir`` under ``fault``; the bundle path."""
+    pipeline = build_pipeline(
+        ",".join(DEFAULT_PASSES),
+        crash_handler=CrashBundleWriter(crash_dir, bisect=False),
+    )
+    with fault_plan(FaultPlan.parse([fault])):
+        with pytest.raises(InjectedFault) as excinfo:
+            pipeline.run(parse_module(ir))
+    return Path(excinfo.value.crash_bundle)
+
+
+class PrePassSnapshots(PassInstrumentation):
+    """Prints the module before every pass: the eager snapshot oracle."""
+
+    def __init__(self):
+        self.texts = []
+
+    def run_before_pass(self, pass_, module) -> None:
+        self.texts.append(print_module(module))
+
+
+class TestLazyCrashSnapshot:
+    @pytest.mark.parametrize("fault,index", PREFIX_FAULTS)
+    def test_bundle_input_is_the_prefix_run_without_a_handler(
+        self, fault, index, tmp_path, rbmap_rgn_ir
+    ):
+        bundle = load_bundle(
+            crash_default_pipeline(rbmap_rgn_ir, fault, tmp_path)
+        )
+        assert bundle.failing_pass == DEFAULT_PASSES[index]
+        assert bundle.pipeline_spec == ",".join(DEFAULT_PASSES[index:])
+        module = parse_module(rbmap_rgn_ir)
+        if index:
+            build_pipeline(",".join(DEFAULT_PASSES[:index])).run(module)
+        assert bundle.input_ir == print_module(module)
+
+    def test_bundle_names_do_not_depend_on_the_hash_seed(
+        self, tmp_path, rbmap_rgn_ir
+    ):
+        ir_path = tmp_path / "rbmap.mlir"
+        ir_path.write_text(rbmap_rgn_ir, encoding="utf-8")
+        script = (
+            "import sys, tempfile\n"
+            "import pytest\n"
+            "from test_resilience import PREFIX_FAULTS, crash_default_pipeline\n"
+            "ir = open(sys.argv[1], encoding='utf-8').read()\n"
+            "for fault, _ in PREFIX_FAULTS:\n"
+            "    print(crash_default_pipeline(ir, fault, tempfile.mkdtemp()).name)\n"
+        )
+        names = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(ir_path)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            names.append(done.stdout.split())
+        assert len(names[0]) == len(PREFIX_FAULTS)
+        assert names[0] == names[1]
+
+    @pytest.mark.parametrize("fault", ["verify:4", "pass.dce:1"])
+    def test_incremental_compile_bundle_matches_the_eager_snapshot(
+        self, fault, tmp_path, monkeypatch
+    ):
+        """Inside the compiler, a warm session runs the pipeline on a
+        scratch module of the cache misses only; the replayed bundle input
+        must still equal a print taken right before the failing pass."""
+        session = CompilationSession()
+        options = PipelineOptions(crash_bundle_dir=str(tmp_path))
+        MlirCompiler(options, session=session).compile(SOURCE)
+        snapshots = PrePassSnapshots()
+        monkeypatch.setattr(
+            backend_pipeline, "pass_instrumentations", lambda _: [snapshots]
+        )
+        edited = SOURCE.replace("add b a", "add a (add b a)")
+        with fault_plan(FaultPlan.parse([fault])):
+            with pytest.raises(InjectedFault) as excinfo:
+                MlirCompiler(options, session=session).compile(edited)
+        bundle = load_bundle(excinfo.value.crash_bundle)
+        assert session.incremental_hits > 0
+        assert bundle.input_ir == snapshots.texts[-1]
 
 
 # ---------------------------------------------------------------------------
