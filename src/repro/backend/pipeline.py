@@ -27,7 +27,6 @@ from __future__ import annotations
 import copy
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..dialects.builtin import ModuleOp
@@ -40,16 +39,16 @@ from ..interp.bytecode import (
     compile_cfg_module,
     compile_rc_program,
 )
-from ..interp.cfg_interp import CfgInterpreter
-from ..interp.rc_interp import RcInterpreter, RunResult
-from ..interp.reference import ReferenceInterpreter, normalize
+from ..interp.metrics import RunResult
 from ..lambda_pure.ir import Program as PureProgram
 from ..lambda_pure.lowering import lower_program
 from ..lambda_pure.simplifier import simplify_program
 from ..ir.printer import print_module
+from ..lazy import lazy_exports
 from ..lean.parser import parse_program
 from ..lean.typecheck import check_program
 from ..rc_opt.optimize import RcOptReport, insert_optimized_rc
+from ..record import Record
 from ..resilience.budgets import ExecutionBudget, make_execution_budget
 from ..resilience.bundle import CrashBundleWriter
 from ..resilience.faults import InjectedFault, fault_hit
@@ -75,6 +74,19 @@ from .options import (
 )
 from .rgn_to_cf import lower_rgn_to_cf
 
+#: The oracle interpreters, imported where a run uses them: a default run
+#: executes on the VM and never calls them.  Still attributes of this
+#: module, for callers that wrap them.
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        "CfgInterpreter": "..interp.cfg_interp",
+        "RcInterpreter": "..interp.rc_interp",
+        "ReferenceInterpreter": "..interp.reference",
+        "normalize": "..interp.reference",
+    },
+)
+
 
 def _check_execution_engine(engine: str) -> None:
     if engine not in EXECUTION_ENGINES:
@@ -90,28 +102,42 @@ def _check_dispatch(dispatch: str) -> None:
         )
 
 
-@dataclass
-class CompilationArtifacts:
+class CompilationArtifacts(Record):
     """Everything produced while compiling one program."""
 
-    surface_source: str
-    pure_program: PureProgram
-    rc_program: PureProgram
-    lp_module: Optional[ModuleOp] = None
-    cfg_module: Optional[ModuleOp] = None
-    c_source: Optional[str] = None
-    pass_statistics: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    rc_report: Optional[RcOptReport] = None
-    #: Wall time per compilation phase in seconds (frontend, simplify,
-    #: rc-insert, lp-codegen, lp-fusion, lp-to-rgn, rgn-opt, rgn-to-cf /
-    #: c-emit), populated by the compilers for :mod:`repro.eval.compile_bench`.
-    phase_timings: Dict[str, float] = field(default_factory=dict)
-    #: Module op counts sampled at pipeline points ("lp" after codegen,
-    #: "rgn" entering the rgn optimisations).  The lowerings mutate the
-    #: module in place, so these cannot be recomputed afterwards.
-    module_op_counts: Dict[str, int] = field(default_factory=dict)
-    #: Textual IR snapshots requested via ``PipelineOptions.capture_ir``.
-    captured_ir: Dict[str, str] = field(default_factory=dict)
+    def __init__(
+        self,
+        surface_source: str,
+        pure_program: PureProgram,
+        rc_program: PureProgram,
+        lp_module: Optional[ModuleOp] = None,
+        cfg_module: Optional[ModuleOp] = None,
+        c_source: Optional[str] = None,
+        pass_statistics: Optional[Dict[str, Dict[str, int]]] = None,
+        rc_report: Optional[RcOptReport] = None,
+        phase_timings: Optional[Dict[str, float]] = None,
+        module_op_counts: Optional[Dict[str, int]] = None,
+        captured_ir: Optional[Dict[str, str]] = None,
+    ):
+        self.surface_source = surface_source
+        self.pure_program = pure_program
+        self.rc_program = rc_program
+        self.lp_module = lp_module
+        self.cfg_module = cfg_module
+        self.c_source = c_source
+        self.pass_statistics = {} if pass_statistics is None else pass_statistics
+        self.rc_report = rc_report
+        #: Wall time per compilation phase in seconds (frontend, simplify,
+        #: rc-insert, lp-codegen, lp-fusion, lp-to-rgn, rgn-opt, rgn-to-cf /
+        #: c-emit), populated by the compilers for
+        #: :mod:`repro.eval.compile_bench`.
+        self.phase_timings = {} if phase_timings is None else phase_timings
+        #: Module op counts sampled at pipeline points ("lp" after codegen,
+        #: "rgn" entering the rgn optimisations).  The lowerings mutate the
+        #: module in place, so these cannot be recomputed afterwards.
+        self.module_op_counts = {} if module_op_counts is None else module_op_counts
+        #: Textual IR snapshots requested via ``PipelineOptions.capture_ir``.
+        self.captured_ir = {} if captured_ir is None else captured_ir
 
 
 class Frontend:
@@ -518,6 +544,8 @@ class BaselineCompiler:
         fault and propagate: the tree-walker would only hang longer.
         """
         if self.execution_engine == "tree":
+            from ..interp.rc_interp import RcInterpreter
+
             return RcInterpreter(
                 rc_program, budget=self._execution_budget()
             ).run_main(check_heap=check_heap)
@@ -541,6 +569,8 @@ class BaselineCompiler:
             registry = get_metrics()
             if registry.enabled:
                 registry.bump("resilience.fallback.vm_to_tree")
+            from ..interp.rc_interp import RcInterpreter
+
             return RcInterpreter(
                 rc_program, budget=self._execution_budget()
             ).run_main(check_heap=check_heap)
@@ -653,6 +683,8 @@ class MlirCompiler:
         """
         options = self.options
         if options.execution_engine == "tree":
+            from ..interp.cfg_interp import CfgInterpreter
+
             return CfgInterpreter(
                 cfg_module, budget=options.execution_budget()
             ).run_main(check_heap=check_heap)
@@ -676,6 +708,8 @@ class MlirCompiler:
             registry = get_metrics()
             if registry.enabled:
                 registry.bump("resilience.fallback.vm_to_tree")
+            from ..interp.cfg_interp import CfgInterpreter
+
             return CfgInterpreter(
                 cfg_module, budget=options.execution_budget()
             ).run_main(check_heap=check_heap)
@@ -689,6 +723,8 @@ def run_reference(
     budget_steps: Optional[int] = None,
 ):
     """Run the source through the λpure reference interpreter (golden value)."""
+    from ..interp.reference import ReferenceInterpreter, normalize
+
     pure = session.frontend(source) if session is not None else Frontend.to_pure(source)
     budget = make_execution_budget(budget_seconds, budget_steps)
     return normalize(ReferenceInterpreter(pure, budget=budget).run_main())

@@ -1,44 +1,39 @@
-"""Interpreters, the bytecode execution engine and the shared cost model."""
+"""Interpreters, the bytecode execution engine and the shared cost model.
 
-from .bytecode import (
-    EXECUTION_ENGINES,
-    BytecodeError,
-    BytecodeFunction,
-    BytecodeProgram,
-    VirtualMachine,
-    compile_cfg_module,
-    compile_rc_program,
-    run_cfg_module_vm,
-    run_rc_program_vm,
-)
-from .cfg_interp import CfgInterpreter, CfgInterpreterError, run_cfg_module
-from .limits import DEFAULT_RECURSION_LIMIT, recursion_limit
-from .metrics import DEFAULT_COSTS, ExecutionMetrics
-from .rc_interp import RcInterpreter, RunResult, run_rc_program
-from .reference import ReferenceInterpreter, RefClosure, RefCtor, normalize
+The exports resolve lazily (PEP 562): the bytecode VM is what a default
+run executes, and the tree-walking oracles (:mod:`.cfg_interp`,
+:mod:`.rc_interp`, :mod:`.reference`) load only when a run uses them.
+"""
 
-__all__ = [
-    "EXECUTION_ENGINES",
-    "BytecodeError",
-    "BytecodeFunction",
-    "BytecodeProgram",
-    "VirtualMachine",
-    "compile_cfg_module",
-    "compile_rc_program",
-    "run_cfg_module_vm",
-    "run_rc_program_vm",
-    "CfgInterpreter",
-    "CfgInterpreterError",
-    "run_cfg_module",
-    "DEFAULT_RECURSION_LIMIT",
-    "recursion_limit",
-    "DEFAULT_COSTS",
-    "ExecutionMetrics",
-    "RcInterpreter",
-    "RunResult",
-    "run_rc_program",
-    "ReferenceInterpreter",
-    "RefClosure",
-    "RefCtor",
-    "normalize",
-]
+from ..lazy import lazy_exports
+
+#: Exported name -> the module defining it.
+_EXPORTS = {
+    "EXECUTION_ENGINES": ".bytecode",
+    "BytecodeError": ".bytecode",
+    "BytecodeFunction": ".bytecode",
+    "BytecodeProgram": ".bytecode",
+    "VirtualMachine": ".bytecode",
+    "compile_cfg_module": ".bytecode",
+    "compile_rc_program": ".bytecode",
+    "run_cfg_module_vm": ".bytecode",
+    "run_rc_program_vm": ".bytecode",
+    "CfgInterpreter": ".cfg_interp",
+    "CfgInterpreterError": ".metrics",
+    "run_cfg_module": ".cfg_interp",
+    "DEFAULT_RECURSION_LIMIT": ".limits",
+    "recursion_limit": ".limits",
+    "DEFAULT_COSTS": ".metrics",
+    "ExecutionMetrics": ".metrics",
+    "RcInterpreter": ".rc_interp",
+    "RunResult": ".metrics",
+    "run_rc_program": ".rc_interp",
+    "ReferenceInterpreter": ".reference",
+    "RefClosure": ".reference",
+    "RefCtor": ".reference",
+    "normalize": ".reference",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

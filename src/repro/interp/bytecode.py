@@ -82,9 +82,7 @@ from ..runtime import (
 from ..resilience.budgets import ExecutionBudget
 from ..resilience.faults import fault_hit
 from ..telemetry import get_metrics, get_tracer
-from .cfg_interp import CfgInterpreterError
-from .metrics import DEFAULT_COSTS, ExecutionMetrics
-from .rc_interp import RunResult
+from .metrics import DEFAULT_COSTS, CfgInterpreterError, ExecutionMetrics, RunResult
 
 #: The execution engines understood by the pipeline layer.
 EXECUTION_ENGINES = ("vm", "tree")

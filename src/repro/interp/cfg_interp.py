@@ -37,12 +37,7 @@ from ..runtime import (
     python_value,
     tag_of,
 )
-from .metrics import ExecutionMetrics
-from .rc_interp import RunResult
-
-
-class CfgInterpreterError(Exception):
-    """Raised when the CFG module cannot be executed."""
+from .metrics import CfgInterpreterError, ExecutionMetrics, RunResult
 
 
 class CfgInterpreter:

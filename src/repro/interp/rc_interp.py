@@ -13,7 +13,6 @@ exactly this interpreter.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..resilience.budgets import ExecutionBudget
@@ -55,17 +54,7 @@ from ..runtime import (
     python_value,
     tag_of,
 )
-from .metrics import ExecutionMetrics
-
-
-@dataclass
-class RunResult:
-    """Result of executing a program: final value + metrics + heap report."""
-
-    value: object
-    metrics: ExecutionMetrics
-    heap_stats: Dict[str, int]
-    output: List[str]
+from .metrics import ExecutionMetrics, RunResult
 
 
 class RcInterpreter:

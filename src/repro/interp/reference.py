@@ -9,7 +9,6 @@ baseline λrc interpreter and the full lp+rgn pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..resilience.budgets import ExecutionBudget
@@ -34,26 +33,27 @@ from ..lambda_pure.ir import (
     Ret,
     Unreachable,
 )
+from ..record import Record
 
 
 class ReferenceError_(Exception):
     """Raised on a semantic error during reference evaluation."""
 
 
-@dataclass
-class RefCtor:
+class RefCtor(Record):
     """A constructor value."""
 
-    tag: int
-    fields: Tuple
+    def __init__(self, tag: int, fields: Tuple):
+        self.tag = tag
+        self.fields = fields
 
 
-@dataclass
-class RefClosure:
+class RefClosure(Record):
     """A partial application value."""
 
-    fn: str
-    args: Tuple
+    def __init__(self, fn: str, args: Tuple):
+        self.fn = fn
+        self.args = args
 
 
 class _Jump(Exception):

@@ -8,157 +8,96 @@ Public surface::
         IntegerAttr, StringAttr, SymbolRefAttr,
         verify, print_op, parse_module,
     )
+
+The exports resolve lazily (PEP 562), so importing one submodule, such
+as :mod:`repro.ir.core`, does not load the others (the textual parser
+included).
 """
 
-from .attributes import (
-    ArrayAttr,
-    Attribute,
-    BoolAttr,
-    DictAttr,
-    FloatAttr,
-    IntegerAttr,
-    StringAttr,
-    SymbolRefAttr,
-    TypeAttr,
-    UnitAttr,
-    int_attr,
-)
-from .builder import Builder, InsertionPoint
-from .core import (
-    Block,
-    BlockArgument,
-    IRMapping,
-    Operation,
-    OpResult,
-    Region,
-    Use,
-    Value,
-)
-from .dialect import (
-    Dialect,
-    ensure_dialects_loaded,
-    lookup_op,
-    register_op,
-    registered_dialects,
-    registered_ops,
-)
-from .dominance import DominanceAnalysis, DominanceInfo, verify_dominance
-from .parser import ParseError, parse_module
-from .printer import Printer, print_module, print_op
-from .traits import (
-    Allocates,
-    ConstantLike,
-    IsolatedFromAbove,
-    IsTerminator,
-    NoTerminatorRequired,
-    Pure,
-    SingleBlock,
-    Symbol,
-    SymbolTable,
-    Trait,
-    has_trait,
-)
-from .types import (
-    BoxType,
-    DialectType,
-    FloatType,
-    FunctionType,
-    IndexType,
-    IntegerType,
-    NoneType,
-    RegionType,
-    Type,
-    box,
-    f64,
-    i1,
-    i8,
-    i16,
-    i32,
-    i64,
-    index,
-    none,
-    parse_type,
-    region,
-)
-from .verifier import VerificationError, collect_errors, verify
+from ..lazy import lazy_exports
 
-__all__ = [
+#: Exported name -> the module defining it.
+_EXPORTS = {
     # attributes
-    "ArrayAttr",
-    "Attribute",
-    "BoolAttr",
-    "DictAttr",
-    "FloatAttr",
-    "IntegerAttr",
-    "StringAttr",
-    "SymbolRefAttr",
-    "TypeAttr",
-    "UnitAttr",
-    "int_attr",
+    "ArrayAttr": ".attributes",
+    "Attribute": ".attributes",
+    "BoolAttr": ".attributes",
+    "DictAttr": ".attributes",
+    "FloatAttr": ".attributes",
+    "IntegerAttr": ".attributes",
+    "StringAttr": ".attributes",
+    "SymbolRefAttr": ".attributes",
+    "TypeAttr": ".attributes",
+    "UnitAttr": ".attributes",
+    "int_attr": ".attributes",
     # builder
-    "Builder",
-    "InsertionPoint",
+    "Builder": ".builder",
+    "InsertionPoint": ".builder",
     # core
-    "Block",
-    "BlockArgument",
-    "IRMapping",
-    "Operation",
-    "OpResult",
-    "Region",
-    "Use",
-    "Value",
+    "Block": ".core",
+    "BlockArgument": ".core",
+    "IRMapping": ".core",
+    "Operation": ".core",
+    "OpResult": ".core",
+    "Region": ".core",
+    "Use": ".core",
+    "Value": ".core",
     # dialect registry
-    "Dialect",
-    "ensure_dialects_loaded",
-    "lookup_op",
-    "register_op",
-    "registered_dialects",
-    "registered_ops",
+    "Dialect": ".dialect",
+    "ensure_dialects_loaded": ".dialect",
+    "lookup_op": ".dialect",
+    "register_op": ".dialect",
+    "registered_dialects": ".dialect",
+    "registered_ops": ".dialect",
     # dominance
-    "DominanceAnalysis",
-    "DominanceInfo",
-    "verify_dominance",
+    "DominanceAnalysis": ".dominance",
+    "DominanceInfo": ".dominance",
+    "verify_dominance": ".dominance",
     # parser / printer
-    "ParseError",
-    "parse_module",
-    "Printer",
-    "print_module",
-    "print_op",
+    "ParseError": ".parser",
+    "parse_module": ".parser",
+    "Printer": ".printer",
+    "print_module": ".printer",
+    "print_op": ".printer",
     # traits
-    "Allocates",
-    "ConstantLike",
-    "IsolatedFromAbove",
-    "IsTerminator",
-    "NoTerminatorRequired",
-    "Pure",
-    "SingleBlock",
-    "Symbol",
-    "SymbolTable",
-    "Trait",
-    "has_trait",
+    "Allocates": ".traits",
+    "ConstantLike": ".traits",
+    "IsolatedFromAbove": ".traits",
+    "IsTerminator": ".traits",
+    "NoTerminatorRequired": ".traits",
+    "Pure": ".traits",
+    "SingleBlock": ".traits",
+    "Symbol": ".traits",
+    "SymbolTable": ".traits",
+    "Trait": ".traits",
+    "has_trait": ".traits",
     # types
-    "BoxType",
-    "DialectType",
-    "FloatType",
-    "FunctionType",
-    "IndexType",
-    "IntegerType",
-    "NoneType",
-    "RegionType",
-    "Type",
-    "box",
-    "f64",
-    "i1",
-    "i8",
-    "i16",
-    "i32",
-    "i64",
-    "index",
-    "none",
-    "parse_type",
-    "region",
+    "BoxType": ".types",
+    "DialectType": ".types",
+    "FloatType": ".types",
+    "FunctionType": ".types",
+    "IndexType": ".types",
+    "IntegerType": ".types",
+    "NoneType": ".types",
+    "RegionType": ".types",
+    "Type": ".types",
+    "box": ".types",
+    "f64": ".types",
+    "i1": ".types",
+    "i8": ".types",
+    "i16": ".types",
+    "i32": ".types",
+    "i64": ".types",
+    "index": ".types",
+    "none": ".types",
+    "parse_type": ".types",
+    "region": ".types",
     # verifier
-    "VerificationError",
-    "collect_errors",
-    "verify",
-]
+    "VerificationError": ".verifier",
+    "collect_errors": ".verifier",
+    "verify": ".verifier",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -25,8 +25,9 @@ Function bodies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from ..record import Record
 
 #: Threshold above which integer literals are treated as big integers
 #: (mirrors LEAN's boxing of naturals that do not fit in a machine word).
@@ -38,7 +39,7 @@ MACHINE_INT_LIMIT = 2**62
 # ---------------------------------------------------------------------------
 
 
-class Expr:
+class Expr(Record):
     """Base class of λpure expressions (always in A-normal form)."""
 
     def arg_vars(self) -> List[str]:
@@ -53,14 +54,20 @@ class Expr:
         return set(self.arg_vars()) | set(self.borrowed_vars())
 
 
-@dataclass
 class Ctor(Expr):
     """``ctor_tag(args)`` — build a data constructor value."""
 
-    tag: int
-    args: List[str] = field(default_factory=list)
-    type_name: str = ""
-    ctor_name: str = ""
+    def __init__(
+        self,
+        tag: int,
+        args: Optional[List[str]] = None,
+        type_name: str = "",
+        ctor_name: str = "",
+    ):
+        self.tag = tag
+        self.args = [] if args is None else args
+        self.type_name = type_name
+        self.ctor_name = ctor_name
 
     def arg_vars(self) -> List[str]:
         return list(self.args)
@@ -70,12 +77,12 @@ class Ctor(Expr):
         return f"{name}({', '.join(self.args)})"
 
 
-@dataclass
 class Proj(Expr):
     """``proj_index(var)`` — extract a constructor field (borrows ``var``)."""
 
-    index: int
-    var: str
+    def __init__(self, index: int, var: str):
+        self.index = index
+        self.var = var
 
     def borrowed_vars(self) -> List[str]:
         return [self.var]
@@ -84,13 +91,13 @@ class Proj(Expr):
         return f"proj_{self.index} {self.var}"
 
 
-@dataclass
 class Call(Expr):
     """``call fn(args)`` — saturated call of a known function or runtime
     builtin."""
 
-    fn: str
-    args: List[str] = field(default_factory=list)
+    def __init__(self, fn: str, args: Optional[List[str]] = None):
+        self.fn = fn
+        self.args = [] if args is None else args
 
     def arg_vars(self) -> List[str]:
         return list(self.args)
@@ -99,12 +106,12 @@ class Call(Expr):
         return f"{self.fn}({', '.join(self.args)})"
 
 
-@dataclass
 class PAp(Expr):
     """``pap fn(args)`` — create a closure holding ``args`` for ``fn``."""
 
-    fn: str
-    args: List[str] = field(default_factory=list)
+    def __init__(self, fn: str, args: Optional[List[str]] = None):
+        self.fn = fn
+        self.args = [] if args is None else args
 
     def arg_vars(self) -> List[str]:
         return list(self.args)
@@ -113,12 +120,12 @@ class PAp(Expr):
         return f"pap {self.fn}({', '.join(self.args)})"
 
 
-@dataclass
 class App(Expr):
     """``app closure(args)`` — apply a closure to further arguments."""
 
-    closure: str
-    args: List[str] = field(default_factory=list)
+    def __init__(self, closure: str, args: Optional[List[str]] = None):
+        self.closure = closure
+        self.args = [] if args is None else args
 
     def arg_vars(self) -> List[str]:
         return [self.closure, *self.args]
@@ -127,11 +134,11 @@ class App(Expr):
         return f"app {self.closure}({', '.join(self.args)})"
 
 
-@dataclass
 class Lit(Expr):
     """Integer literal (machine word or big integer)."""
 
-    value: int
+    def __init__(self, value: int):
+        self.value = value
 
     @property
     def is_big(self) -> bool:
@@ -141,7 +148,6 @@ class Lit(Expr):
         return str(self.value)
 
 
-@dataclass
 class Reset(Expr):
     """``reset var`` — consume a (statically dead) constructor cell and yield
     a *reuse token* (λrc reuse analysis, after Perceus / "Counting Immutable
@@ -152,7 +158,8 @@ class Reset(Expr):
     reference is dropped and a null token is returned.
     """
 
-    var: str
+    def __init__(self, var: str):
+        self.var = var
 
     def arg_vars(self) -> List[str]:
         return [self.var]
@@ -161,16 +168,23 @@ class Reset(Expr):
         return f"reset {self.var}"
 
 
-@dataclass
 class Reuse(Expr):
     """``reuse token in ctor_tag(args)`` — construct a value, reusing the
     memory cell held by ``token`` when it is live (same-arity reuse)."""
 
-    token: str
-    tag: int
-    args: List[str] = field(default_factory=list)
-    type_name: str = ""
-    ctor_name: str = ""
+    def __init__(
+        self,
+        token: str,
+        tag: int,
+        args: Optional[List[str]] = None,
+        type_name: str = "",
+        ctor_name: str = "",
+    ):
+        self.token = token
+        self.tag = tag
+        self.args = [] if args is None else args
+        self.type_name = type_name
+        self.ctor_name = ctor_name
 
     def arg_vars(self) -> List[str]:
         return [self.token, *self.args]
@@ -185,32 +199,31 @@ class Reuse(Expr):
 # ---------------------------------------------------------------------------
 
 
-class FnBody:
+class FnBody(Record):
     """Base class of λpure function bodies."""
 
 
-@dataclass
 class Let(FnBody):
     """``let var := expr; body``."""
 
-    var: str
-    expr: Expr
-    body: FnBody
+    def __init__(self, var: str, expr: Expr, body: FnBody):
+        self.var = var
+        self.expr = expr
+        self.body = body
 
     def __str__(self):
         return f"let {self.var} := {self.expr};\n{self.body}"
 
 
-@dataclass
-class CaseAlt:
+class CaseAlt(Record):
     """One alternative of a :class:`Case`: constructor tag → body."""
 
-    tag: int
-    ctor_name: str
-    body: FnBody
+    def __init__(self, tag: int, ctor_name: str, body: FnBody):
+        self.tag = tag
+        self.ctor_name = ctor_name
+        self.body = body
 
 
-@dataclass
 class Case(FnBody):
     """``case var of alts [| default]`` — dispatch on a constructor tag.
 
@@ -218,10 +231,17 @@ class Case(FnBody):
     of it as needed.
     """
 
-    var: str
-    alts: List[CaseAlt] = field(default_factory=list)
-    default: Optional[FnBody] = None
-    type_name: str = ""
+    def __init__(
+        self,
+        var: str,
+        alts: Optional[List[CaseAlt]] = None,
+        default: Optional[FnBody] = None,
+        type_name: str = "",
+    ):
+        self.var = var
+        self.alts = [] if alts is None else alts
+        self.default = default
+        self.type_name = type_name
 
     def __str__(self):
         parts = [f"case {self.var} of"]
@@ -232,24 +252,24 @@ class Case(FnBody):
         return "\n".join(parts)
 
 
-@dataclass
 class Ret(FnBody):
     """``ret var`` — return from the enclosing function."""
 
-    var: str
+    def __init__(self, var: str):
+        self.var = var
 
     def __str__(self):
         return f"ret {self.var}"
 
 
-@dataclass
 class JDecl(FnBody):
     """``jdecl label(params) := jbody; rest`` — declare a join point."""
 
-    label: str
-    params: List[str]
-    jbody: FnBody
-    rest: FnBody
+    def __init__(self, label: str, params: List[str], jbody: FnBody, rest: FnBody):
+        self.label = label
+        self.params = params
+        self.jbody = jbody
+        self.rest = rest
 
     def __str__(self):
         return (
@@ -258,42 +278,41 @@ class JDecl(FnBody):
         )
 
 
-@dataclass
 class Jmp(FnBody):
     """``jmp label(args)`` — jump to an enclosing join point."""
 
-    label: str
-    args: List[str] = field(default_factory=list)
+    def __init__(self, label: str, args: Optional[List[str]] = None):
+        self.label = label
+        self.args = [] if args is None else args
 
     def __str__(self):
         return f"jmp {self.label}({', '.join(self.args)})"
 
 
-@dataclass
 class Inc(FnBody):
     """``inc var; body`` — λrc reference count increment."""
 
-    var: str
-    body: FnBody
-    count: int = 1
+    def __init__(self, var: str, body: FnBody, count: int = 1):
+        self.var = var
+        self.body = body
+        self.count = count
 
     def __str__(self):
         return f"inc {self.var};\n{self.body}"
 
 
-@dataclass
 class Dec(FnBody):
     """``dec var; body`` — λrc reference count decrement."""
 
-    var: str
-    body: FnBody
-    count: int = 1
+    def __init__(self, var: str, body: FnBody, count: int = 1):
+        self.var = var
+        self.body = body
+        self.count = count
 
     def __str__(self):
         return f"dec {self.var};\n{self.body}"
 
 
-@dataclass
 class Unreachable(FnBody):
     """Statically impossible program point (e.g. empty match)."""
 
@@ -306,19 +325,28 @@ class Unreachable(FnBody):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Function:
+class Function(Record):
     """A top-level λpure/λrc function."""
 
-    name: str
-    params: List[str]
-    body: FnBody
-    #: number of leading parameters that are borrowed (not consumed);
-    #: our simplified RC scheme treats all parameters as owned, so this is 0.
-    borrowed: int = 0
-    #: indices of parameters passed *borrowed* (no ownership transfer), as
-    #: computed by :mod:`repro.rc_opt.borrow`; empty under the naive scheme.
-    borrowed_params: Tuple[int, ...] = ()
+    def __init__(
+        self,
+        name: str,
+        params: List[str],
+        body: FnBody,
+        borrowed: int = 0,
+        borrowed_params: Tuple[int, ...] = (),
+    ):
+        self.name = name
+        self.params = params
+        self.body = body
+        #: number of leading parameters that are borrowed (not consumed);
+        #: our simplified RC scheme treats all parameters as owned, so this
+        #: is 0.
+        self.borrowed = borrowed
+        #: indices of parameters passed *borrowed* (no ownership transfer),
+        #: as computed by :mod:`repro.rc_opt.borrow`; empty under the naive
+        #: scheme.
+        self.borrowed_params = borrowed_params
 
     @property
     def arity(self) -> int:
@@ -328,23 +356,28 @@ class Function:
         return f"def {self.name}({', '.join(self.params)}) :=\n{self.body}"
 
 
-@dataclass
-class ConstructorInfo:
+class ConstructorInfo(Record):
     """Metadata about one constructor of an inductive type."""
 
-    type_name: str
-    ctor_name: str
-    tag: int
-    arity: int
+    def __init__(self, type_name: str, ctor_name: str, tag: int, arity: int):
+        self.type_name = type_name
+        self.ctor_name = ctor_name
+        self.tag = tag
+        self.arity = arity
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A λpure/λrc program: functions plus inductive-type metadata."""
 
-    functions: Dict[str, Function] = field(default_factory=dict)
-    constructors: Dict[str, ConstructorInfo] = field(default_factory=dict)
-    main: str = "main"
+    def __init__(
+        self,
+        functions: Optional[Dict[str, Function]] = None,
+        constructors: Optional[Dict[str, ConstructorInfo]] = None,
+        main: str = "main",
+    ):
+        self.functions = {} if functions is None else functions
+        self.constructors = {} if constructors is None else constructors
+        self.main = main
 
     def add_function(self, fn: Function) -> None:
         self.functions[fn.name] = fn

@@ -19,9 +19,9 @@ insertion, as in LEAN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..record import Record
 from .ir import (
     App,
     Call,
@@ -89,11 +89,11 @@ def _is_pure_expr(expr: Expr) -> bool:
     return False
 
 
-@dataclass
-class _Binding:
+class _Binding(Record):
     """What the simplifier knows about a let-bound variable."""
 
-    expr: Optional[Expr] = None
+    def __init__(self, expr: Optional[Expr] = None):
+        self.expr = expr
 
     @property
     def as_lit(self) -> Optional[int]:
@@ -104,16 +104,24 @@ class _Binding:
         return self.expr if isinstance(self.expr, Ctor) else None
 
 
-@dataclass
-class SimplifierStats:
+class SimplifierStats(Record):
     """Counters reported by one simplifier run."""
 
-    dead_lets: int = 0
-    constants_folded: int = 0
-    cases_simplified: int = 0
-    projections_folded: int = 0
-    branches_collapsed: int = 0
-    joins_inlined: int = 0
+    def __init__(
+        self,
+        dead_lets: int = 0,
+        constants_folded: int = 0,
+        cases_simplified: int = 0,
+        projections_folded: int = 0,
+        branches_collapsed: int = 0,
+        joins_inlined: int = 0,
+    ):
+        self.dead_lets = dead_lets
+        self.constants_folded = constants_folded
+        self.cases_simplified = cases_simplified
+        self.projections_folded = projections_folded
+        self.branches_collapsed = branches_collapsed
+        self.joins_inlined = joins_inlined
 
     def total(self) -> int:
         return (

@@ -9,8 +9,9 @@ frontend + elaborator, whose output (λpure) is type erased anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+from ..record import FrozenRecord, Record
 
 
 # ---------------------------------------------------------------------------
@@ -63,32 +64,32 @@ class UnitType(LeanType):
         return "Unit"
 
 
-@dataclass(frozen=True)
-class ArrayType(LeanType):
+class ArrayType(FrozenRecord, LeanType):
     """Dynamic arrays of boxed values (LEAN's ``Array``)."""
 
-    element: "LeanType"
+    def __init__(self, element: LeanType):
+        object.__setattr__(self, "element", element)
 
     def __str__(self):
         return f"Array {self.element}"
 
 
-@dataclass(frozen=True)
-class DataType(LeanType):
+class DataType(FrozenRecord, LeanType):
     """A user-declared inductive type, referenced by name."""
 
-    name: str
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class FunType(LeanType):
+class FunType(FrozenRecord, LeanType):
     """Function type ``a -> b`` (curried, right associative)."""
 
-    param: "LeanType"
-    result: "LeanType"
+    def __init__(self, param: LeanType, result: LeanType):
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "result", result)
 
     def __str__(self):
         param = f"({self.param})" if isinstance(self.param, FunType) else str(self.param)
@@ -117,119 +118,141 @@ def uncurry(t: LeanType) -> Tuple[List[LeanType], LeanType]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Expr:
-    """Base class of surface expressions."""
+class Expr(Record):
+    """Base class of surface expressions.
 
-    #: Filled in by the type checker.
-    inferred_type: Optional[LeanType] = field(default=None, init=False, repr=False)
+    Every expression carries ``inferred_type``, filled in by the type
+    checker: ``==`` compares it, ``repr`` leaves it out.
+    """
+
+    def __eq__(self, other):
+        equal = Record.__eq__(self, other)
+        if equal is True:
+            return self.inferred_type == other.inferred_type
+        return equal
 
 
-@dataclass
 class Var(Expr):
     """A variable or (possibly qualified) global name."""
 
-    name: str
+    def __init__(self, name: str):
+        self.inferred_type = None
+        self.name = name
 
     def __str__(self):
         return self.name
 
 
-@dataclass
 class NatLit(Expr):
     """A non-negative integer literal (``Nat`` unless context says ``Int``)."""
 
-    value: int
+    def __init__(self, value: int):
+        self.inferred_type = None
+        self.value = value
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass
 class IntLit(Expr):
     """A (possibly negative) integer literal of type ``Int``."""
 
-    value: int
+    def __init__(self, value: int):
+        self.inferred_type = None
+        self.value = value
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass
 class BoolLit(Expr):
     """``true`` / ``false``."""
 
-    value: bool
+    def __init__(self, value: bool):
+        self.inferred_type = None
+        self.value = value
 
     def __str__(self):
         return "true" if self.value else "false"
 
 
-@dataclass
 class App(Expr):
     """Application ``fn arg1 arg2 ...`` (possibly partial)."""
 
-    fn: Expr
-    args: List[Expr]
+    def __init__(self, fn: Expr, args: List[Expr]):
+        self.inferred_type = None
+        self.fn = fn
+        self.args = args
 
     def __str__(self):
         return "(" + " ".join(str(e) for e in [self.fn, *self.args]) + ")"
 
 
-@dataclass
 class BinOp(Expr):
     """A binary operator application, desugared during lowering."""
 
-    op: str
-    lhs: Expr
-    rhs: Expr
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        self.inferred_type = None
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
 
     def __str__(self):
         return f"({self.lhs} {self.op} {self.rhs})"
 
 
-@dataclass
 class UnaryOp(Expr):
     """Unary negation."""
 
-    op: str
-    operand: Expr
+    def __init__(self, op: str, operand: Expr):
+        self.inferred_type = None
+        self.op = op
+        self.operand = operand
 
     def __str__(self):
         return f"({self.op}{self.operand})"
 
 
-@dataclass
 class Let(Expr):
     """``let name := value; body``."""
 
-    name: str
-    value: Expr
-    body: Expr
-    annotation: Optional[LeanType] = None
+    def __init__(
+        self,
+        name: str,
+        value: Expr,
+        body: Expr,
+        annotation: Optional[LeanType] = None,
+    ):
+        self.inferred_type = None
+        self.name = name
+        self.value = value
+        self.body = body
+        self.annotation = annotation
 
     def __str__(self):
         return f"let {self.name} := {self.value};\n{self.body}"
 
 
-@dataclass
 class If(Expr):
     """``if cond then then_branch else else_branch``."""
 
-    cond: Expr
-    then_branch: Expr
-    else_branch: Expr
+    def __init__(self, cond: Expr, then_branch: Expr, else_branch: Expr):
+        self.inferred_type = None
+        self.cond = cond
+        self.then_branch = then_branch
+        self.else_branch = else_branch
 
     def __str__(self):
         return f"if {self.cond} then {self.then_branch} else {self.else_branch}"
 
 
-@dataclass
 class Lambda(Expr):
     """``fun (x : T) ... => body``."""
 
-    params: List[Tuple[str, LeanType]]
-    body: Expr
+    def __init__(self, params: List[Tuple[str, LeanType]], body: Expr):
+        self.inferred_type = None
+        self.params = params
+        self.body = body
 
     def __str__(self):
         params = " ".join(f"({n} : {t})" for n, t in self.params)
@@ -239,22 +262,20 @@ class Lambda(Expr):
 # -- patterns ----------------------------------------------------------------
 
 
-@dataclass
-class Pattern:
+class Pattern(Record):
     """Base class of match patterns."""
 
 
-@dataclass
 class PVar(Pattern):
     """Bind the scrutinee to a name."""
 
-    name: str
+    def __init__(self, name: str):
+        self.name = name
 
     def __str__(self):
         return self.name
 
 
-@dataclass
 class PWild(Pattern):
     """``_`` — match anything, bind nothing."""
 
@@ -262,12 +283,12 @@ class PWild(Pattern):
         return "_"
 
 
-@dataclass
 class PCtor(Pattern):
     """Constructor pattern ``Type.ctor p1 p2 ...`` (sub-patterns allowed)."""
 
-    ctor: str
-    subpatterns: List[Pattern] = field(default_factory=list)
+    def __init__(self, ctor: str, subpatterns: Optional[List[Pattern]] = None):
+        self.ctor = ctor
+        self.subpatterns = [] if subpatterns is None else subpatterns
 
     def __str__(self):
         if not self.subpatterns:
@@ -275,40 +296,41 @@ class PCtor(Pattern):
         return "(" + " ".join([self.ctor, *[str(p) for p in self.subpatterns]]) + ")"
 
 
-@dataclass
 class PLit(Pattern):
     """Integer literal pattern."""
 
-    value: int
+    def __init__(self, value: int):
+        self.value = value
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass
 class PBool(Pattern):
     """``true`` / ``false`` pattern."""
 
-    value: bool
+    def __init__(self, value: bool):
+        self.value = value
 
     def __str__(self):
         return "true" if self.value else "false"
 
 
-@dataclass
-class MatchArm:
+class MatchArm(Record):
     """One ``| p1, p2, ... => body`` arm."""
 
-    patterns: List[Pattern]
-    body: Expr
+    def __init__(self, patterns: List[Pattern], body: Expr):
+        self.patterns = patterns
+        self.body = body
 
 
-@dataclass
 class Match(Expr):
     """``match e1, e2, ... with arms``."""
 
-    scrutinees: List[Expr]
-    arms: List[MatchArm]
+    def __init__(self, scrutinees: List[Expr], arms: List[MatchArm]):
+        self.inferred_type = None
+        self.scrutinees = scrutinees
+        self.arms = arms
 
     def __str__(self):
         scrs = ", ".join(str(s) for s in self.scrutinees)
@@ -324,42 +346,57 @@ class Match(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConstructorDecl:
+class ConstructorDecl(Record):
     """One constructor of an inductive declaration."""
 
-    name: str
-    fields: List[Tuple[str, LeanType]] = field(default_factory=list)
+    def __init__(
+        self, name: str, fields: Optional[List[Tuple[str, LeanType]]] = None
+    ):
+        self.name = name
+        self.fields = [] if fields is None else fields
 
 
-@dataclass
-class InductiveDecl:
+class InductiveDecl(Record):
     """``inductive Name where | ctor (field : T) ...``."""
 
-    name: str
-    constructors: List[ConstructorDecl] = field(default_factory=list)
+    def __init__(
+        self, name: str, constructors: Optional[List[ConstructorDecl]] = None
+    ):
+        self.name = name
+        self.constructors = [] if constructors is None else constructors
 
 
-@dataclass
-class DefDecl:
+class DefDecl(Record):
     """``def name (p : T) ... : R := body`` (``partial def`` is accepted)."""
 
-    name: str
-    params: List[Tuple[str, LeanType]]
-    return_type: LeanType
-    body: Expr
-    is_partial: bool = False
+    def __init__(
+        self,
+        name: str,
+        params: List[Tuple[str, LeanType]],
+        return_type: LeanType,
+        body: Expr,
+        is_partial: bool = False,
+    ):
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.body = body
+        self.is_partial = is_partial
 
     def type(self) -> LeanType:
         return fun_type([t for _, t in self.params], self.return_type)
 
 
-@dataclass
-class Program:
+class Program(Record):
     """A parsed mini-LEAN source file."""
 
-    inductives: List[InductiveDecl] = field(default_factory=list)
-    defs: List[DefDecl] = field(default_factory=list)
+    def __init__(
+        self,
+        inductives: Optional[List[InductiveDecl]] = None,
+        defs: Optional[List[DefDecl]] = None,
+    ):
+        self.inductives = [] if inductives is None else inductives
+        self.defs = [] if defs is None else defs
 
     def inductive(self, name: str) -> Optional[InductiveDecl]:
         for ind in self.inductives:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List
+
+from ..record import Record
 
 KEYWORDS = {
     "inductive",
@@ -41,12 +42,12 @@ class LexError(Exception):
     """Raised on an unrecognised character."""
 
 
-@dataclass
-class Token:
-    kind: str  # NUMBER, IDENT, KEYWORD, ARROW, OP, PUNCT, EOF
-    text: str
-    line: int
-    column: int
+class Token(Record):
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind = kind  # NUMBER, IDENT, KEYWORD, ARROW, OP, PUNCT, EOF
+        self.text = text
+        self.line = line
+        self.column = column
 
     def __repr__(self):  # pragma: no cover - debugging helper
         return f"Token({self.kind}, {self.text!r}, line {self.line})"

@@ -8,7 +8,7 @@ select the right runtime routines (``lean_nat_*`` vs ``lean_int_*``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import ast
 from .prelude import BUILTIN_FUNCTIONS, builtin_inductives
@@ -90,6 +90,8 @@ class GlobalEnv:
                 sig = ConstructorSignature(
                     ind.name, ctor.name, tag, [t for _, t in ctor.fields]
                 )
+                if sig.qualified in self.constructors:
+                    raise TypeError_(f"duplicate constructor {sig.qualified}")
                 signatures.append(sig)
                 self.constructors[sig.qualified] = sig
             self.inductives[ind.name] = signatures
@@ -263,8 +265,9 @@ class TypeChecker:
         result_type = expected
         for arm in expr.arms:
             bindings = dict(locals_)
+            bound: Set[str] = set()
             for pattern, scrutinee_type in zip(arm.patterns, scrutinee_types):
-                self._check_pattern(pattern, scrutinee_type, bindings)
+                self._check_pattern(pattern, scrutinee_type, bindings, bound)
             arm_type = self.check_expr(arm.body, result_type, bindings)
             if result_type is None:
                 result_type = arm_type
@@ -277,10 +280,19 @@ class TypeChecker:
         pattern: ast.Pattern,
         scrutinee_type: ast.LeanType,
         bindings: Dict[str, ast.LeanType],
+        bound: Set[str],
     ) -> None:
+        """Check ``pattern`` against ``scrutinee_type`` and add its variables
+        to ``bindings``; ``bound`` holds the names the arm's patterns bound
+        so far, since one arm may bind a name only once (as in Lean 4)."""
         if isinstance(pattern, ast.PWild):
             return
         if isinstance(pattern, ast.PVar):
+            if pattern.name in bound:
+                raise TypeError_(
+                    f"variable {pattern.name} occurs more than once in a pattern"
+                )
+            bound.add(pattern.name)
             bindings[pattern.name] = scrutinee_type
             return
         if isinstance(pattern, ast.PLit):
@@ -318,7 +330,7 @@ class TypeChecker:
                     f"sub-patterns, got {len(pattern.subpatterns)}"
                 )
             for sub, field_type in zip(pattern.subpatterns, sig.fields):
-                self._check_pattern(sub, field_type, bindings)
+                self._check_pattern(sub, field_type, bindings, bound)
             return
         raise TypeError_(f"unknown pattern {pattern!r}")
 

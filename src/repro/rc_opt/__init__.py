@@ -24,32 +24,25 @@ The exports resolve lazily (PEP 562), so the pass registry can import
 :mod:`repro.rc_opt.lp_fusion` without loading the λpure/λrc analyses.
 """
 
-import importlib
+from ..lazy import lazy_exports
 
 #: Exported name -> the submodule defining it.
 _EXPORTS = {
-    "RC_MODES": "optimize",
-    "RcOptReport": "optimize",
-    "insert_optimized_rc": "optimize",
-    "BorrowSignatures": "optimize",
-    "FusionStats": "fusion",
-    "fuse_rc": "fusion",
-    "ReuseStats": "reuse",
-    "apply_reuse": "reuse",
-    "LpRcFusionPass": "lp_fusion",
-    "fuse_lp_module": "lp_fusion",
-    "borrowed_parameter_count": "borrow",
-    "infer_borrow_signatures": "borrow",
-    "reuse_critical_params": "borrow",
+    "RC_MODES": ".optimize",
+    "RcOptReport": ".optimize",
+    "insert_optimized_rc": ".optimize",
+    "BorrowSignatures": ".optimize",
+    "FusionStats": ".fusion",
+    "fuse_rc": ".fusion",
+    "ReuseStats": ".reuse",
+    "apply_reuse": ".reuse",
+    "LpRcFusionPass": ".lp_fusion",
+    "fuse_lp_module": ".lp_fusion",
+    "borrowed_parameter_count": ".borrow",
+    "infer_borrow_signatures": ".borrow",
+    "reuse_critical_params": ".borrow",
 }
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name):
-    submodule = _EXPORTS.get(name)
-    if submodule is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{submodule}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -22,7 +22,6 @@ invariant checked by the runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..lambda_pure.ir import (
@@ -39,14 +38,15 @@ from ..lambda_pure.ir import (
     Ret,
     Unreachable,
 )
+from ..record import Record
 
 
-@dataclass
-class FusionStats:
+class FusionStats(Record):
     """Counters describing one fusion run."""
 
-    cancelled_pairs: int = 0
-    merged_ops: int = 0
+    def __init__(self, cancelled_pairs: int = 0, merged_ops: int = 0):
+        self.cancelled_pairs = cancelled_pairs
+        self.merged_ops = merged_ops
 
     def merge(self, other: "FusionStats") -> None:
         self.cancelled_pairs += other.cancelled_pairs

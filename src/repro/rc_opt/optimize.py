@@ -6,11 +6,11 @@ borrow, fusion and reuse analyses of this package; see :mod:`repro.rc_opt`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..lambda_pure.ir import Program
 from ..lambda_rc.refcount import BorrowSignatures, insert_rc
+from ..record import Record
 from .borrow import (
     borrowed_parameter_count,
     infer_borrow_signatures,
@@ -23,15 +23,22 @@ from .reuse import ReuseStats, apply_reuse
 RC_MODES = ("naive", "opt", "opt+reuse")
 
 
-@dataclass
-class RcOptReport:
+class RcOptReport(Record):
     """What the optimiser did to one program."""
 
-    mode: str = "naive"
-    borrowed_parameters: int = 0
-    signatures: BorrowSignatures = field(default_factory=dict)
-    fusion: FusionStats = field(default_factory=FusionStats)
-    reuse: ReuseStats = field(default_factory=ReuseStats)
+    def __init__(
+        self,
+        mode: str = "naive",
+        borrowed_parameters: int = 0,
+        signatures: Optional[BorrowSignatures] = None,
+        fusion: Optional[FusionStats] = None,
+        reuse: Optional[ReuseStats] = None,
+    ):
+        self.mode = mode
+        self.borrowed_parameters = borrowed_parameters
+        self.signatures = {} if signatures is None else signatures
+        self.fusion = FusionStats() if fusion is None else fusion
+        self.reuse = ReuseStats() if reuse is None else reuse
 
 
 def insert_optimized_rc(

@@ -25,7 +25,6 @@ token is statically guaranteed to reach exactly one ``reuse``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..lambda_pure.ir import (
@@ -45,13 +44,14 @@ from ..lambda_pure.ir import (
     Reuse,
     Unreachable,
 )
+from ..record import Record
 
 
-@dataclass
-class ReuseStats:
+class ReuseStats(Record):
     """Counters describing one reuse-analysis run."""
 
-    reuse_pairs: int = 0
+    def __init__(self, reuse_pairs: int = 0):
+        self.reuse_pairs = reuse_pairs
 
     def merge(self, other: "ReuseStats") -> None:
         self.reuse_pairs += other.reuse_pairs

@@ -23,6 +23,7 @@ rescan retry, cache quarantine + clean recompile) counts under the
 ``resilience.*`` metric namespace.
 """
 
+from ..lazy import lazy_exports
 from .budgets import (
     BudgetExceeded,
     ExecutionBudget,
@@ -56,10 +57,4 @@ __all__ = [
     "known_sites",
 ]
 
-
-def __getattr__(name):
-    if name == "bisect_bundle":
-        from .bisect import bisect_bundle
-
-        return bisect_bundle
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = lazy_exports(globals(), {"bisect_bundle": ".bisect"})

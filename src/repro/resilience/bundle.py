@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..record import Record
 from ..telemetry import get_metrics
 
 BUNDLE_SCHEMA = "repro/crash-bundle/v1"
@@ -50,25 +50,38 @@ MINIMAL_IR = "minimal.mlir"
 MINIMAL_PIPELINE_TXT = "minimal-pipeline.txt"
 
 
-@dataclass
-class CrashBundle:
+class CrashBundle(Record):
     """A loaded crash reproducer bundle (see :func:`load_bundle`)."""
 
-    path: Path
-    input_ir: str
-    pipeline_spec: str
-    failing_pass: str
-    error_type: str
-    error_message: str
-    #: ``site:N`` fault specs re-based to the bundle's starting point
-    #: (empty when the crash was organic, not injected).
-    faults: List[str]
-    verify_each: bool
-    environment: Dict[str, str]
-    metrics: Dict[str, Union[int, float]]
-    #: Bisection result, if :func:`bisect_bundle` has run: keys
-    #: ``failing_pass`` and (for pattern passes) ``failing_pattern``.
-    bisect: Optional[Dict[str, Optional[str]]] = None
+    def __init__(
+        self,
+        path: Path,
+        input_ir: str,
+        pipeline_spec: str,
+        failing_pass: str,
+        error_type: str,
+        error_message: str,
+        faults: List[str],
+        verify_each: bool,
+        environment: Dict[str, str],
+        metrics: Dict[str, Union[int, float]],
+        bisect: Optional[Dict[str, Optional[str]]] = None,
+    ):
+        self.path = path
+        self.input_ir = input_ir
+        self.pipeline_spec = pipeline_spec
+        self.failing_pass = failing_pass
+        self.error_type = error_type
+        self.error_message = error_message
+        #: ``site:N`` fault specs re-based to the bundle's starting point
+        #: (empty when the crash was organic, not injected).
+        self.faults = faults
+        self.verify_each = verify_each
+        self.environment = environment
+        self.metrics = metrics
+        #: Bisection result, if :func:`bisect_bundle` has run: keys
+        #: ``failing_pass`` and (for pattern passes) ``failing_pattern``.
+        self.bisect = bisect
 
     @property
     def minimal_ir(self) -> Optional[str]:

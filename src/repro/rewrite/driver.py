@@ -25,10 +25,10 @@ Two engines implement the fixpoint:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ..ir.core import Operation
+from ..record import Record
 from ..resilience.budgets import RewriteBudgetExceeded
 from ..resilience.faults import InjectedFault, fault_hit
 from ..telemetry import get_metrics
@@ -58,29 +58,40 @@ class NonConvergenceError(RuntimeError):
     """
 
 
-@dataclass
-class GreedyRewriteResult:
+class GreedyRewriteResult(Record):
     """Statistics of one driver invocation."""
 
-    converged: bool = True
-    #: Fixpoint sweeps for the rescan engine; always 1 for the worklist
-    #: engine, which never rescans.
-    iterations: int = 0
-    applications: int = 0
-    #: Patterns tried, whether or not they matched (the driver's unit of
-    #: work; the compile-time benchmarks track this).
-    match_attempts: int = 0
-    #: Operations enqueued, seeds included — the worklist engine seeds once
-    #: and requeues notifications; the rescan engine re-seeds the whole
-    #: module every iteration, and every seed is counted.
-    worklist_pushes: int = 0
-    #: Requeue requests dropped because the op was already queued.
-    requeues_deduped: int = 0
-    #: Candidate patterns skipped by the operand-arity prefilter before any
-    #: matching work was done (they could never match the op's shape).
-    prefilter_skips: int = 0
-    #: pattern class name -> number of successful applications
-    per_pattern: Dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        converged: bool = True,
+        iterations: int = 0,
+        applications: int = 0,
+        match_attempts: int = 0,
+        worklist_pushes: int = 0,
+        requeues_deduped: int = 0,
+        prefilter_skips: int = 0,
+        per_pattern: Optional[Dict[str, int]] = None,
+    ):
+        self.converged = converged
+        #: Fixpoint sweeps for the rescan engine; always 1 for the worklist
+        #: engine, which never rescans.
+        self.iterations = iterations
+        self.applications = applications
+        #: Patterns tried, whether or not they matched (the driver's unit
+        #: of work; the compile-time benchmarks track this).
+        self.match_attempts = match_attempts
+        #: Operations enqueued, seeds included — the worklist engine seeds
+        #: once and requeues notifications; the rescan engine re-seeds the
+        #: whole module every iteration, and every seed is counted.
+        self.worklist_pushes = worklist_pushes
+        #: Requeue requests dropped because the op was already queued.
+        self.requeues_deduped = requeues_deduped
+        #: Candidate patterns skipped by the operand-arity prefilter before
+        #: any matching work was done (they could never match the op's
+        #: shape).
+        self.prefilter_skips = prefilter_skips
+        #: pattern class name -> number of successful applications
+        self.per_pattern = {} if per_pattern is None else per_pattern
 
     def record(self, pattern: RewritePattern) -> None:
         name = type(pattern).__name__

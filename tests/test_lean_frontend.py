@@ -233,6 +233,49 @@ def bad (xs : List) : Nat :=
         with pytest.raises(TypeError_):
             self.check("def f : Nat := 1\ndef f : Nat := 2")
 
+    def test_duplicate_constructor_rejected(self):
+        with pytest.raises(TypeError_, match="duplicate constructor T.a"):
+            self.check("inductive T where\n| a (x : Nat)\n| a\n")
+
+    def test_same_constructor_name_in_two_types_accepted(self):
+        self.check("inductive T where\n| a\n\ninductive U where\n| a\n")
+
+    def test_repeated_pattern_variable_rejected(self):
+        with pytest.raises(TypeError_, match="variable x occurs more than once"):
+            self.check(
+                """
+inductive P where
+| mk (a : Nat) (b : Nat)
+
+def f (p : P) : Nat :=
+  match p with
+  | P.mk x x => x
+"""
+            )
+
+    def test_pattern_variable_repeated_across_scrutinees_rejected(self):
+        with pytest.raises(TypeError_, match="variable x occurs more than once"):
+            self.check(
+                """
+def f (a : Nat) (b : Nat) : Nat :=
+  match a, b with
+  | x, x => x
+"""
+            )
+
+    def test_pattern_variable_may_shadow_and_repeat_across_arms(self):
+        self.check(
+            LIST_SRC
+            + """
+def f (h : Nat) (xs : List) : Nat :=
+  match xs with
+  | List.cons h t => h
+  | List.nil => match xs with
+    | List.cons h t => h
+    | List.nil => h
+"""
+        )
+
     def test_array_builtins_check(self):
         self.check(
             """

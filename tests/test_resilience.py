@@ -437,6 +437,29 @@ class TestDegradationLadders:
         assert recovered.value == clean.value
         assert snapshot["resilience.quarantine.incremental"] == 1
 
+    @pytest.mark.parametrize(
+        "site", ["cache.frontend", "cache.bytecode", "cache.incremental"]
+    )
+    def test_session_ladder_script_fires_the_cache_fault(self, site, tmp_path):
+        """``tests/session_ladder.py`` drives these sites in CI, since a
+        one-shot ``python -m repro`` never hits its session caches."""
+        program = tmp_path / "prog.lean"
+        program.write_text(SOURCE, encoding="utf-8")
+        metrics = tmp_path / "metrics.json"
+        done = subprocess.run(
+            [
+                sys.executable, str(REPO_ROOT / "tests" / "session_ladder.py"),
+                str(program), "--inject-fault", f"{site}:1",
+                "--metrics-json", str(metrics),
+            ],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"result: {run_mlir(SOURCE).value}\n"
+        counters = json.loads(metrics.read_text(encoding="utf-8"))["metrics"]
+        assert counters["resilience.faults.injected"] == 1
+
     def test_vm_fault_falls_back_to_tree_with_identical_figures(self):
         tree_options = PipelineOptions()
         tree_options.execution_engine = "tree"
@@ -619,6 +642,16 @@ class TestCliExitCodes:
         bad.write_text("def main : Nat := true", encoding="utf-8")
         assert cli_main([str(bad)]) == 3
         capsys.readouterr()
+
+    def test_duplicate_constructor_is_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.lean"
+        bad.write_text(
+            "inductive T where\n| a (x : Nat)\n| a\n\n"
+            "def main : Nat := match T.a with\n| T.a => 7\n",
+            encoding="utf-8",
+        )
+        assert cli_main([str(bad)]) == 3
+        assert "duplicate constructor T.a" in capsys.readouterr().err
 
     def test_unreadable_input_is_2(self, capsys):
         assert cli_main(["/nonexistent/path.lean"]) == 2
