@@ -17,8 +17,23 @@ from ..ir.types import IntegerType, Type, i1, i64
 
 arith_dialect = Dialect("arith")
 
+#: The semantics of every ``arith.cmpi`` predicate (1 for true, 0 for
+#: false).  The unsigned predicates compare magnitudes.
+CMP_FNS = {
+    "eq": lambda lhs, rhs: 1 if lhs == rhs else 0,
+    "ne": lambda lhs, rhs: 1 if lhs != rhs else 0,
+    "slt": lambda lhs, rhs: 1 if lhs < rhs else 0,
+    "sle": lambda lhs, rhs: 1 if lhs <= rhs else 0,
+    "sgt": lambda lhs, rhs: 1 if lhs > rhs else 0,
+    "sge": lambda lhs, rhs: 1 if lhs >= rhs else 0,
+    "ult": lambda lhs, rhs: 1 if abs(lhs) < abs(rhs) else 0,
+    "ule": lambda lhs, rhs: 1 if abs(lhs) <= abs(rhs) else 0,
+    "ugt": lambda lhs, rhs: 1 if abs(lhs) > abs(rhs) else 0,
+    "uge": lambda lhs, rhs: 1 if abs(lhs) >= abs(rhs) else 0,
+}
+
 #: Comparison predicates accepted by :class:`CmpIOp`.
-CMP_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge", "ult", "ule", "ugt", "uge")
+CMP_PREDICATES = tuple(CMP_FNS)
 
 
 @arith_dialect.register_op
@@ -206,43 +221,41 @@ class ExtUIOp(Operation):
         super().__init__(operands=[value], result_types=[result_type])
 
 
+def _divsi(lhs: int, rhs: int) -> int:
+    if rhs == 0:
+        raise ZeroDivisionError("division by zero in arith.divsi")
+    return int(lhs / rhs)
+
+
+def _remsi(lhs: int, rhs: int) -> int:
+    if rhs == 0:
+        raise ZeroDivisionError("remainder by zero in arith.remsi")
+    return lhs - int(lhs / rhs) * rhs
+
+
+#: The semantics of every binary arith op, keyed by op name: the folder and
+#: the tree-walkers look them up by name, the bytecode VM resolves them to
+#: the callable at compile time.
+BINARY_FNS = {
+    AddIOp.OP_NAME: lambda lhs, rhs: lhs + rhs,
+    SubIOp.OP_NAME: lambda lhs, rhs: lhs - rhs,
+    MulIOp.OP_NAME: lambda lhs, rhs: lhs * rhs,
+    DivSIOp.OP_NAME: _divsi,
+    RemSIOp.OP_NAME: _remsi,
+    AndIOp.OP_NAME: lambda lhs, rhs: lhs & rhs,
+    OrIOp.OP_NAME: lambda lhs, rhs: lhs | rhs,
+    XorIOp.OP_NAME: lambda lhs, rhs: lhs ^ rhs,
+}
+
+
 def evaluate_binary(op_name: str, lhs: int, rhs: int) -> int:
     """Constant-fold helper shared by the folder and the interpreters."""
-    if op_name == AddIOp.OP_NAME:
-        return lhs + rhs
-    if op_name == SubIOp.OP_NAME:
-        return lhs - rhs
-    if op_name == MulIOp.OP_NAME:
-        return lhs * rhs
-    if op_name == DivSIOp.OP_NAME:
-        if rhs == 0:
-            raise ZeroDivisionError("division by zero in arith.divsi")
-        return int(lhs / rhs)
-    if op_name == RemSIOp.OP_NAME:
-        if rhs == 0:
-            raise ZeroDivisionError("remainder by zero in arith.remsi")
-        return lhs - int(lhs / rhs) * rhs
-    if op_name == AndIOp.OP_NAME:
-        return lhs & rhs
-    if op_name == OrIOp.OP_NAME:
-        return lhs | rhs
-    if op_name == XorIOp.OP_NAME:
-        return lhs ^ rhs
-    raise KeyError(f"not a foldable binary op: {op_name}")
+    fn = BINARY_FNS.get(op_name)
+    if fn is None:
+        raise KeyError(f"not a foldable binary op: {op_name}")
+    return fn(lhs, rhs)
 
 
 def evaluate_cmpi(predicate: str, lhs: int, rhs: int) -> int:
     """Evaluate an ``arith.cmpi`` predicate on Python integers."""
-    table = {
-        "eq": lhs == rhs,
-        "ne": lhs != rhs,
-        "slt": lhs < rhs,
-        "sle": lhs <= rhs,
-        "sgt": lhs > rhs,
-        "sge": lhs >= rhs,
-        "ult": abs(lhs) < abs(rhs),
-        "ule": abs(lhs) <= abs(rhs),
-        "ugt": abs(lhs) > abs(rhs),
-        "uge": abs(lhs) >= abs(rhs),
-    }
-    return 1 if table[predicate] else 0
+    return CMP_FNS[predicate](lhs, rhs)

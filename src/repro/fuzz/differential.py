@@ -50,12 +50,11 @@ from ..backend.pipeline import (
     run_reference,
 )
 from ..eval.harness import measurement_options
+from ..interp.bytecode import DISPATCH_MODES, EXECUTION_ENGINES
 
 #: The matrix axes (rc mode × rewrite engine × execution engine [× VM
 #: dispatch mode] × incremental recompilation).
 REWRITE_ENGINES = ("worklist", "rescan")
-EXECUTION_ENGINES = ("vm", "tree")
-DISPATCH_MODES = ("threaded", "switch")
 INCREMENTAL_MODES = (False, True)
 
 #: Default per-program execution step budget (calls and branches).  Fuel-

@@ -16,8 +16,6 @@ _EXPORTS = {
     "VirtualMachine": ".bytecode",
     "compile_cfg_module": ".bytecode",
     "compile_rc_program": ".bytecode",
-    "run_cfg_module_vm": ".bytecode",
-    "run_rc_program_vm": ".bytecode",
     "CfgInterpreter": ".cfg_interp",
     "CfgInterpreterError": ".metrics",
     "run_cfg_module": ".cfg_interp",

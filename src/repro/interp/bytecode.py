@@ -1,65 +1,38 @@
 """Register-based bytecode execution engine for the evaluation interpreters.
 
 The tree-walking interpreters (:class:`~repro.interp.cfg_interp.
-CfgInterpreter` and :class:`~repro.interp.rc_interp.RcInterpreter`) re-walk
-the IR object graph on every call: each operation is re-dispatched through a
-long ``isinstance`` chain, every SSA value / λrc variable is a dictionary
-key, and environments are copied per ``let`` / block transfer.  Following
-MLIR's split between the IR and its execution engines, this module compiles
-a module **once** into flat per-function instruction arrays and executes
-them with a compact VM loop:
+CfgInterpreter`, :class:`~repro.interp.rc_interp.RcInterpreter`) re-dispatch
+every operation through an ``isinstance`` chain over dict environments.
+Following MLIR's split between the IR and its execution engines, this module
+compiles a module **once** into flat per-function instruction arrays over
+dense integer registers, with branch targets, switch tables, direct callees
+and static cost charges resolved up front.  Both IR levels compile to the
+same instruction set (:func:`compile_cfg_module` for the final CFG-form MLIR
+module, :func:`compile_rc_program` for λrc) and run on one
+:class:`VirtualMachine`, which charges exactly the events the corresponding
+tree-walker charges: results, :class:`~repro.interp.metrics.ExecutionMetrics`
+and heap statistics are identical, and the tree-walkers survive as
+differential oracles (``execution_engine="tree"``).
 
-* *registers* — every SSA value (or λrc variable binding) gets a dense
-  integer slot; a frame is a plain Python list, parameters occupy slots
-  ``0..n-1``,
-* *pre-resolved control flow* — branch targets are instruction indices,
-  ``cf.switch`` / λrc ``case`` dispatch through a precomputed value→pc
-  dict, block-argument forwarding is a register parallel-copy baked into
-  the jump instruction,
-* *pre-resolved calls* — a direct call holds the callee's compiled
-  function object (no name lookup at run time); runtime builtins and
-  unknown symbols are classified at compile time,
-* *precomputed cost charges* — every instruction knows its cost-model
-  category up front; only genuinely dynamic charges (``lp.reuse`` tokens,
-  closure application chains) are decided while running.
-
-Both IR levels compile to the **same instruction set** and share one
-:class:`VirtualMachine` loop: :func:`compile_cfg_module` translates the
-final CFG-form MLIR module, :func:`compile_rc_program` translates a λrc
-program (join points become jump labels, ``case`` becomes the dispatch
-instruction).  The VM charges exactly the events the corresponding
-tree-walker charges, so results, :class:`~repro.interp.metrics.
-ExecutionMetrics` and heap statistics are identical — the tree-walkers
-survive as differential oracles (``execution_engine="tree"``).
-
-Three execution-speed levers sit on top of that contract:
-
-* *superinstructions* — :func:`fuse_program` runs a peephole over the
-  compiled code arrays that collapses the hot adjacent pairs the
-  ``vm.instr.freq.*`` telemetry identified (``cmp``+``cond_br``,
-  ``const``+``binarith``/``cmp``, ``getlabel``+``switch``,
-  ``proj``+``call``) into single fused opcodes.  Fusion is driven by the
-  declarative :data:`FUSION_RULES` table — a new pair is one more table
-  entry — and a fused instruction charges *exactly* the cost-model events
-  of the unfused sequence, so metrics stay byte-identical.  (λrc ``case``
-  is already the pre-fused tag dispatch: the rc frontend never emits a
-  separate ``getlabel``, which is why the getlabel fusion pairs with the
-  CFG ``switch``.)
-* *direct-threaded dispatch* — the default ``dispatch="threaded"`` mode
-  precompiles every instruction to a bound closure capturing its operands
-  so the run loop is ``pc = ops[pc](regs)``; the tuple-decoding loop
-  survives as the ``dispatch="switch"`` oracle.
-* *an explicit call stack* — ``call``/``ret`` push and pop VM frames
-  inside the run loop instead of recursing in Python, so deep recursion
-  no longer rides ``sys.setrecursionlimit`` and
-  :class:`~repro.resilience.budgets.ExecutionBudget` counts VM frames,
-  not Python depth.
+Every opcode is declared **once**, in :data:`OPCODES`: its operands, which of
+them are branch targets, and a Python source template of its semantics with
+its cost events marked where the tree-walker charges them.  As with MLIR's
+ODS, the rest is generated from that table: the superinstructions of
+:data:`FUSION_RULES` (a fused template is its bases' templates concatenated,
+so it charges exactly what its unfused expansion does, error paths
+included), the closures of the default direct-threaded dispatch
+(``pc = ops[pc](regs)``, built with ``exec`` on first use) and the
+``if``/``elif`` loop kept as the ``dispatch="switch"`` oracle.  ``call`` and
+``ret`` push and pop explicit VM frames, so deep recursion needs no
+``sys.setrecursionlimit``.  docs/EXECUTION.md has the details.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..dialects import arith, cf, lp
 from ..dialects.builtin import ModuleOp
@@ -98,131 +71,641 @@ class BytecodeError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Instruction set
+# The opcode table
 # ---------------------------------------------------------------------------
-# An instruction is a plain tuple whose first element is one of the opcode
-# integers below.  Register operands are indices into the frame list; a
-# destination of -1 discards the produced value.  Branch operands are
-# absolute instruction indices within the function's code array.
+# An instruction is a plain tuple ``(opcode, operand, ...)``.  Register
+# operands are indices into the frame list; a destination of -1 discards
+# the produced value.  Operand specs name the operands in order; ``:pc``
+# marks a branch target (an instruction index, or None for "none") and
+# ``:pcs`` a {value: pc} table, which is all the fusion peephole needs to
+# find and remap jump targets.
+#
+# Template syntax (one statement per line, Python otherwise):
+#
+# * ``$name`` is an operand; ``${expr}`` an expression over operands that
+#   the threaded closure evaluates once, when it is built.
+# * ``@event`` (or ``@$operand``) charges one cost-model event, placed
+#   where the tree-walker charges it; only at the top level.
+# * ``goto PC``, ``ret VALUE`` and ``call CALLEE(ARGS) -> DST`` transfer
+#   control; each dispatch loop renders them its own way.
+# * ``%if COND`` / ``%elif COND`` / ``%else`` / ``%end`` branch on operands:
+#   decided once per instruction when its threaded closure is built, tested
+#   on every execution by the switch loop.
+# * ``%fast COND`` ... [``%elif COND`` ...] ``%else`` ... ``%end`` is a
+#   threaded-only static specialisation: the switch loop always runs the
+#   ``%else`` code, which must mean the same.
+#
+# Besides locals, templates use ``regs``, ``heap``, ``ctx``, ``counts``
+# (dynamic charges), ``charge`` (the budget's, or None), ``error``,
+# ``globals_``, ``apply_closure`` and the runtime helpers imported above;
+# conditions may also test ``flavor``.
 
-OP_RET = 0          # (op, src)                       charge: return
-OP_JMP = 1          # (op, pc, srcs, dsts)            charge: jump
-OP_CONDBR = 2       # (op, cond, tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)  branch
-OP_SWITCH = 3       # (op, flag, {value: pc}, default_pc)               branch
-OP_CASE = 4         # (op, src, {tag: pc}, default_pc|None)  getlabel+arith+branch
-OP_UNREACHABLE = 5  # (op, message)
-OP_CONST = 6        # (op, dst, value)                charge: const
-OP_INT = 7          # (op, dst, value)                charge: move
-OP_BIGINT = 8       # (op, dst, value)                charge: runtime_call
-OP_CONSTRUCT = 9    # (op, dst, tag, field_regs, category)
-OP_GETLABEL = 10    # (op, dst, src)                  charge: getlabel
-OP_PROJ = 11        # (op, dst, src, index)           charge: proj + rc
-OP_PAP = 12         # (op, dst, callee, arity|None, arg_regs)  alloc_closure
-OP_PAPEXTEND = 13   # (op, dst, closure, arg_regs)    charge: apply (dynamic)
-OP_INC = 14         # (op, src, count)                charge: rc
-OP_DEC = 15         # (op, src, count)                charge: rc
-OP_RESET = 16       # (op, dst, src)                  charge: rc
-OP_REUSE = 17       # (op, dst, token, tag, field_regs)  dynamic
-OP_CALL = 18        # (op, dst, BytecodeFunction, arg_regs)  charge: call
-OP_RTCALL = 19      # (op, dst, name, arg_regs)       charge: runtime_call
-OP_BADCALL = 20     # (op, name)                      raises
-OP_GETGLOBAL = 21   # (op, dst, name)                 charge: global
-OP_SETGLOBAL = 22   # (op, name, src)                 charge: global
-OP_BINARITH = 23    # (op, dst, fn, lhs, rhs)         charge: arith
-OP_CMP = 24         # (op, dst, fn, lhs, rhs)         charge: arith
-OP_SELECT = 25      # (op, dst, cond, t, f)           charge: arith
-OP_CAST = 26        # (op, dst, src)                  charge: arith
+_BASE_OPCODES = (
+    ("ret", "src", """
+        @return
+        %fast $src >= 0
+        ret regs[$src]
+        %else
+        ret regs[$src] if $src >= 0 else None
+        %end
+    """),
+    ("jmp", "pc:pc srcs dsts", """
+        @jump
+        if charge is not None:
+            charge()
+        %fast not $srcs
+        %elif len($srcs) == 1
+        regs[${$dsts[0]}] = regs[${$srcs[0]}]
+        %else
+        srcs = $srcs
+        if srcs:
+            values = [regs[x] for x in srcs]
+            for dst, moved in zip($dsts, values):
+                regs[dst] = moved
+        %end
+        goto $pc
+    """),
+    ("cond_br", "cond tpc:pc tsrcs tdsts fpc:pc fsrcs fdsts", """
+        @branch
+        if charge is not None:
+            charge()
+        %fast not $tsrcs and not $fsrcs
+        goto $tpc if regs[$cond] else $fpc
+        %else
+        if regs[$cond]:
+            target, srcs, dsts = $tpc, $tsrcs, $tdsts
+        else:
+            target, srcs, dsts = $fpc, $fsrcs, $fdsts
+        if srcs:
+            values = [regs[x] for x in srcs]
+            for dst, moved in zip(dsts, values):
+                regs[dst] = moved
+        goto target
+        %end
+    """),
+    ("switch", "flag table:pcs default:pc", """
+        @branch
+        if charge is not None:
+            charge()
+        goto $table.get(regs[$flag], $default)
+    """),
+    # λrc ``case``: tag read, bounds check and branch in one instruction.
+    ("case", "src table:pcs default:pc", """
+        @getlabel
+        @arith
+        @branch
+        tag = tag_of(regs[$src])
+        target = $table.get(tag, $default)
+        if target is None:
+            raise error(f"no alternative for tag {tag} in case")
+        if charge is not None:
+            charge()
+        goto target
+    """),
+    ("unreachable", "message", """
+        raise error($message)
+    """),
+    ("const", "dst value", """
+        @const
+        regs[$dst] = $value
+    """),
+    ("int", "dst value", """
+        @move
+        regs[$dst] = heap.alloc_int($value)
+    """),
+    ("bigint", "dst value", """
+        @runtime_call
+        regs[$dst] = heap.alloc_int($value)
+    """),
+    # ``category`` is ``alloc_ctor``, or ``move`` for a field-less ctor.
+    ("construct", "dst tag fields category", """
+        @$category
+        regs[$dst] = heap.alloc_ctor($tag, [regs[r] for r in $fields])
+    """),
+    ("getlabel", "dst src", """
+        @getlabel
+        regs[$dst] = tag_of(regs[$src])
+    """),
+    ("proj", "dst src index", """
+        @proj
+        value = regs[$src]
+        if not isinstance(value, CtorObject):
+            raise error(f"projection from non-constructor {value!r}")
+        field = value.fields[$index]
+        heap.inc(field)
+        @rc
+        regs[$dst] = field
+    """),
+    ("pap", "dst callee arity args", """
+        @alloc_closure
+        %if $arity is None
+        raise error(f"pap of unknown function {$callee}")
+        %else
+        regs[$dst] = make_closure(heap, $callee, $arity, [regs[r] for r in $args])
+        %end
+    """),
+    # Charges ``apply`` (and the calls it makes) dynamically.
+    ("papextend", "dst closure args", """
+        regs[$dst] = apply_closure(regs[$closure], [regs[r] for r in $args])
+    """),
+    ("inc", "src count", """
+        @rc
+        heap.inc(regs[$src], $count)
+    """),
+    ("dec", "src count", """
+        @rc
+        heap.dec(regs[$src], $count)
+    """),
+    ("reset", "dst src", """
+        @rc
+        regs[$dst] = heap.reset(regs[$src])
+    """),
+    ("reuse", "dst token tag fields", """
+        token = regs[$token]
+        fields = [regs[r] for r in $fields]
+        if isinstance(token, CtorObject):
+            counts["reuse"] += 1
+        else:
+            counts[${"alloc_ctor" if $fields else "move"}] += 1
+        regs[$dst] = heap.reuse(token, $tag, fields)
+    """),
+    # ``callee`` is the compiled BytecodeFunction itself.  A threaded
+    # closure leaves the call's ``vm.dispatch`` fault site to its run loop.
+    ("call", "dst callee args", """
+        @call
+        %fast len($args) == $callee.num_params
+        call $callee([regs[r] for r in $args]) -> $dst
+        %else
+        callee = $callee
+        cargs = [regs[r] for r in $args]
+        fault_hit("vm.dispatch")
+        if len(cargs) != callee.num_params:
+            raise error(f"calling {callee.name} with {len(cargs)} arguments, expected {callee.num_params}")
+        call callee(cargs) -> $dst
+        %end
+    """),
+    ("rtcall", "dst name args", """
+        @runtime_call
+        %fast $name in BUILTINS and $dst >= 0
+        regs[$dst] = ${BUILTINS[$name]}(ctx, [regs[r] for r in $args])
+        %elif $name in BUILTINS
+        ${BUILTINS[$name]}(ctx, [regs[r] for r in $args])
+        %else
+        value = call_builtin(ctx, $name, [regs[r] for r in $args])
+        %if $dst >= 0
+        regs[$dst] = value
+        %end
+        %end
+    """),
+    ("badcall", "name", """
+        %if flavor == "cfg"
+        raise error(f"call of unknown function @{$name}")
+        %else
+        raise error(f"unknown function {$name}")
+        %end
+    """),
+    ("getglobal", "dst name", """
+        @global
+        regs[$dst] = globals_.get($name)
+    """),
+    ("setglobal", "name src", """
+        @global
+        globals_[$name] = regs[$src]
+    """),
+    # ``fn`` is the operation's callable from arith.BINARY_FNS / CMP_FNS.
+    ("binarith", "dst fn lhs rhs", """
+        @arith
+        regs[$dst] = $fn(regs[$lhs], regs[$rhs])
+    """),
+    ("cmp", "dst fn lhs rhs", """
+        @arith
+        regs[$dst] = $fn(regs[$lhs], regs[$rhs])
+    """),
+    ("select", "dst cond t f", """
+        @arith
+        regs[$dst] = regs[$t] if regs[$cond] else regs[$f]
+    """),
+    ("cast", "dst src", """
+        @arith
+        regs[$dst] = regs[$src]
+    """),
+)
 
-# Superinstructions (emitted only by the fusion peephole, never by the
-# frontends).  Each charges exactly the events of its unfused pair; the
-# first instruction's destination register is still written, so fusion
-# needs no liveness analysis.
-OP_CMP_CONDBR = 27        # (op, dst, fn, lhs, rhs, tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)
-OP_CONST_BINARITH = 28    # (op, cdst, value, dst, fn, lhs, rhs)
-OP_CONST_CMP = 29         # (op, cdst, value, dst, fn, lhs, rhs)
-OP_GETLABEL_SWITCH = 30   # (op, dst, src, {tag: pc}, default_pc)
-OP_PROJ_CALL = 31         # (op, pdst, psrc, pindex, cdst, BytecodeFunction, arg_regs)
 
-# Chain superinstructions — second-pass fusions over already-fused
-# opcodes (the peephole runs to fixpoint), covering the hottest dynamic
-# sequences of the benchmark suite: constructor-tag dispatch
-# (getlabel; const; cmp; cond_br) and RC/projection runs.
-OP_CONST_CMP_CONDBR = 32  # (op, cdst, value, dst, fn, lhs, rhs,
-                          #  tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)
-OP_GETLABEL_CMP_CONDBR = 33  # (op, gdst, gsrc, cdst, value, dst, fn, lhs,
-                             #  rhs, tpc, tsrcs, tdsts, fpc, fsrcs, fdsts)
-OP_PROJ_PROJ = 34         # (op, d1, s1, i1, d2, s2, i2)
-OP_INT_INC = 35           # (op, dst, value, src, count)
-OP_DEC_DEC = 36           # (op, s1, c1, s2, c2)
-OP_INC_RTCALL = 37        # (op, src, count, dst, name, arg_regs)
-OP_DEC_INC = 38           # (op, dsrc, dcount, isrc, icount)
-OP_PROJ3 = 39             # (op, d1, s1, i1, d2, s2, i2, d3, s3, i3)
-OP_PROJ4 = 40             # (op, d1, s1, i1, ..., d4, s4, i4)
+class FusionRule:
+    """One superinstruction: adjacent ``first`` + ``second`` (opcode
+    names) fuse into the opcode ``name`` when ``match(a, b)`` accepts the
+    two instruction tuples.  The fused instruction is ``(opcode,) + a[1:] +
+    b[1:]`` and everything else about it is derived from its bases."""
+
+    __slots__ = ("first", "second", "name", "match")
+
+    def __init__(self, first: str, second: str, name: str, match):
+        self.first = first
+        self.second = second
+        self.name = name
+        self.match = match
+
+
+#: The superinstruction table; the peephole runs to fixpoint, so a rule
+#: may extend an already-fused opcode.  Adding a pair is one more entry.
+FUSION_RULES = (
+    # cmp dst feeds the branch condition.
+    FusionRule("cmp", "cond_br", "cmp_cond_br", lambda a, b: b[1] == a[1]),
+    # const dst feeds a binary arith / comparison operand.
+    FusionRule("const", "binarith", "const_binarith",
+               lambda a, b: a[1] == b[3] or a[1] == b[4]),
+    FusionRule("const", "cmp", "const_cmp",
+               lambda a, b: a[1] == b[3] or a[1] == b[4]),
+    # getlabel dst feeds the switch flag (λrc's case is pre-fused).
+    FusionRule("getlabel", "switch", "getlabel_switch",
+               lambda a, b: b[1] == a[1]),
+    # proj dst feeds a direct-call argument.
+    FusionRule("proj", "call", "proj_call", lambda a, b: a[1] in b[3]),
+    # Chains: a fused const_cmp whose result feeds the branch condition,
+    # and the full constructor-tag dispatch where getlabel feeds the
+    # comparison (getlabel; const; cmp; cond_br).
+    FusionRule("const_cmp", "cond_br", "const_cmp_br",
+               lambda a, b: b[1] == a[3]),
+    FusionRule("getlabel", "const_cmp_br", "getlabel_cmp_br",
+               lambda a, b: a[1] == b[5] or a[1] == b[6]),
+    # Straight-line runs with no dataflow condition: executing the pair
+    # inside one closure is always equivalent to executing it in sequence.
+    FusionRule("proj", "proj", "proj_proj", lambda a, b: True),
+    FusionRule("int", "inc", "int_inc", lambda a, b: True),
+    FusionRule("dec", "dec", "dec_dec", lambda a, b: True),
+    FusionRule("inc", "rtcall", "inc_rtcall", lambda a, b: b[1] >= 0),
+    FusionRule("dec", "inc", "dec_inc", lambda a, b: True),
+    # Projection runs of three and four (λrc field extraction over wide
+    # constructors) extend an already-fused proj_proj.
+    FusionRule("proj_proj", "proj", "proj3", lambda a, b: True),
+    FusionRule("proj_proj", "proj_proj", "proj4", lambda a, b: True),
+)
+
+_OPERAND = re.compile(r"\$(\w+)")
+_STATIC = re.compile(r"\$\{([^}]*)\}")
+_HEAP_METHOD = re.compile(r"\bheap\.(\w+)")
+_NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
+
+#: The VM state templates use, as expressions over the VirtualMachine
+#: ``vm``.  A threaded closure binds the ones it uses as argument defaults
+#: (locals, not global or cell lookups), like this module's helpers; the
+#: switch loop binds the hot ones at entry (``_SWITCH_HEAD``) and reaches
+#: the rest through ``vm``, as binding them would cost every closure
+#: application that re-enters the loop.
+_VM_STATE = {
+    "heap": "vm.ctx.heap", "counts": "vm._counts",
+    "charge": "vm.budget.charge if vm.budget is not None else None",
+    "ctx": "vm.ctx", "error": "vm._error", "globals_": "vm.globals",
+    "apply_closure": "vm._apply_closure", "flavor": "vm.program.flavor",
+    "pending": "vm._pending", "retslot": "vm._retslot",
+}
+_MODULE_NAMES = ("tag_of", "CtorObject", "call_builtin", "make_closure",
+                 "fault_hit")
+
+#: Threaded closure code -> {source line: ((event or operand name, count),
+#: ...)}: the static charges not yet reached when an exception leaves the
+#: closure from that line.
+_UNDO: Dict[object, Dict[int, Tuple[Tuple[str, int], ...]]] = {}
+
+
+class Opcode:
+    """One entry of :data:`OPCODES`: a base opcode, or a superinstruction
+    whose operands and template are its bases' concatenated.  Operands are
+    slots ``1..n`` of the instruction tuple, and ``$name`` becomes
+    ``$name_<slot>`` in the template, from which the static ``charges``
+    (event names, or slot numbers for ``@$operand``), the branch-target
+    slots, the threaded closure factories and the switch arm all come."""
+
+    __slots__ = ("code", "name", "bases", "operands", "pc_slots",
+                 "table_slots", "charges", "terminator", "tree",
+                 "conditions", "_key", "_factories")
+
+    def __init__(self, code: int, name: str, bases: Tuple[Tuple[str, str, List[str]], ...]):
+        self.code = code
+        self.name = name
+        #: The base opcodes (name, operand spec, template lines) in order.
+        self.bases = bases
+        self.operands: List[str] = []  # names, slot 1 first
+        kinds: List[str] = []
+        lines: List[str] = []
+        for index, (base, spec, template) in enumerate(bases):
+            # A base that transfers control can only end a fused opcode.
+            self.terminator = any(
+                line.lstrip().startswith(("goto ", "ret ", "call "))
+                for line in template
+            )
+            if self.terminator and index < len(bases) - 1:
+                raise ValueError(f"{name}: {base} must be the last base")
+            renamed = {}
+            for operand in spec.split():
+                operand, _, kind = operand.partition(":")
+                self.operands.append(operand)
+                kinds.append(kind)
+                renamed[operand] = f"{operand}_{len(self.operands)}"
+            lines.extend(
+                _OPERAND.sub(lambda m: "$" + renamed[m.group(1)], line)
+                for line in template
+            )
+        self.pc_slots = [i + 1 for i, k in enumerate(kinds) if k == "pc"]
+        self.table_slots = [i + 1 for i, k in enumerate(kinds) if k == "pcs"]
+        self.charges = tuple(
+            _slot(line[2:]) if line.startswith("@$") else line[1:]
+            for line in lines if line.startswith("@")
+        )
+        self.tree, self.conditions = _parse(lines, name)
+        self._key = None
+        self._factories: Dict[Tuple[bool, ...], Callable] = {}
+
+    def closure(self, ins: Tuple, sites: List[int], site: int, vm) -> Callable:
+        """The threaded closure for instruction ``ins`` at pc ``site``."""
+        key = ()
+        if self.conditions:
+            if self._key is None:
+                tests = ", ".join(f"bool({_inline(c, _VM_STATE)})" for c in self.conditions)
+                self._key = eval(f"lambda ins, vm: ({tests},)")
+            key = self._key(ins, vm)
+        factory = self._factories.get(key)
+        if factory is None:
+            factory = self._factories[key] = self._generate(key)
+        return factory(ins, sites, site, site + 1, vm)
+
+    def _generate(self, key: Tuple[bool, ...]) -> Callable:
+        """Compile the closure factory for one static specialisation.
+
+        The closure bumps its site counter first, so the flush charges
+        every static event.  For each line that an exception could leave
+        before later charges, :data:`_UNDO` records those charges; the run
+        loop takes them back, exactly where the unfused sequence would have
+        stopped charging, at no cost to a closure that does not raise.
+        """
+        lines = list(_emit(self.tree, self.conditions, key))
+        events = [line[1:] for line in lines if line.startswith("@")]
+        body = ["sites[site] += 1"]
+        undo: Dict[int, Tuple[Tuple[str, int], ...]] = {}
+        for line in lines:
+            if line.startswith("@"):
+                del events[0]
+                continue
+            for text in _render_control(line, "threaded"):
+                body.append(text)
+                if events:  # source line 1 defines the factory, 2 the closure
+                    undo[len(body) + 2] = tuple(
+                        (event, events.count(event))
+                        for event in dict.fromkeys(events)
+                    )
+        if not self.terminator:
+            body.append("return nxt")
+        text = "\n".join(body)
+        defaults = ["sites=sites", "site=site"]
+        statics: List[str] = []
+
+        def bind_static(match):
+            statics.append(_inline(match.group(1)))
+            return f"static_{len(statics)}"
+
+        text = _STATIC.sub(bind_static, text)
+        defaults += [f"static_{i}={e}" for i, e in enumerate(statics, 1)]
+        methods = sorted(set(_HEAP_METHOD.findall(text)))
+        text = _HEAP_METHOD.sub(r"heap_\1", text)
+        defaults += [f"heap_{m}=vm.ctx.heap.{m}" for m in methods]
+        used = set(_NAME.findall(text))
+        operands = sorted(set(_OPERAND.findall(text)), key=_slot)
+        defaults += [f"{name}=ins[{_slot(name)}]" for name in operands]
+        text = _OPERAND.sub(r"\1", text)
+        defaults += [f"{n}={e}" for n, e in _VM_STATE.items() if n in used]
+        defaults += [f"{n}={n}" for n in _MODULE_NAMES if n in used]
+        if "nxt" in used:
+            defaults.append("nxt=nxt")
+        source = (
+            "def make(ins, sites, site, nxt, vm):\n"
+            f"    def op_{self.name}(regs, {', '.join(defaults)}):\n"
+            + "".join(f"        {line}\n" for line in text.split("\n"))
+            + f"    return op_{self.name}\n"
+        )
+        make = _compile(source, f"<bytecode:{self.name}>")["make"]
+        closure_code = next(c for c in make.__code__.co_consts if hasattr(c, "co_name"))
+        _UNDO[closure_code] = undo
+        return make
+
+
+def _dedent(template: str) -> List[str]:
+    lines = [line for line in template.split("\n") if line.strip()]
+    indent = min(len(line) - len(line.lstrip()) for line in lines)
+    return [line[indent:] for line in lines]
+
+
+def _slot(operand: str) -> int:
+    return int(operand.rsplit("_", 1)[1])
+
+
+def _inline(expr: str, names: Optional[Dict[str, str]] = None) -> str:
+    """Template source with operands read from ``ins`` and the given VM
+    ``names`` replaced (switch loop, specialisation keys, static
+    expressions)."""
+    expr = _STATIC.sub(r"(\1)", expr)
+    expr = _OPERAND.sub(lambda m: f"ins[{_slot(m.group(1))}]", expr)
+    if names:
+        expr = _NAME.sub(lambda m: names.get(m.group(0), m.group(0)), expr)
+    return expr
+
+
+def _parse(lines: List[str], name: str):
+    """Template lines -> (tree, conditions).  A tree is a list of lines and
+    ``[kind, [(condition index or None, subtree), ...]]`` blocks."""
+    root: List = []
+    bodies = [root]
+    blocks: List = []
+    conditions: List[str] = []
+    for line in lines:
+        if not line.startswith("%"):
+            if line.startswith("@") and blocks:
+                raise ValueError(f"{name}: charge inside a condition")
+            bodies[-1].append(line)
+            continue
+        word, _, condition = line[1:].partition(" ")
+        if word in ("if", "fast"):
+            blocks.append([word, []])
+            bodies[-1].append(blocks[-1])
+        else:
+            bodies.pop()
+        if word == "end":
+            blocks.pop()
+            continue
+        index = None
+        if condition:
+            index = len(conditions)
+            conditions.append(condition)
+        blocks[-1][1].append((index, []))
+        bodies.append(blocks[-1][1][-1][1])
+    return root, conditions
+
+
+def _emit(tree, conditions, key=None, depth=0):
+    """Flatten a template tree.  With a specialisation ``key`` (threaded)
+    every block is decided statically; without one (switch) ``%if`` blocks
+    become Python ``if`` statements and ``%fast`` blocks their ``%else``."""
+    pad = "    " * depth
+    for item in tree:
+        if isinstance(item, str):
+            yield pad + item
+            continue
+        kind, branches = item
+        if key is not None:
+            for index, body in branches:
+                if index is None or key[index]:
+                    yield from _emit(body, conditions, key, depth)
+                    break
+        elif kind == "fast":
+            yield from _emit(branches[-1][1], conditions, None, depth)
+        else:
+            for number, (index, body) in enumerate(branches):
+                if index is None:
+                    yield pad + "else:"
+                else:
+                    keyword = "elif" if number else "if"
+                    yield f"{pad}{keyword} {conditions[index]}:"
+                lines = list(_emit(body, conditions, None, depth + 1))
+                yield from lines or [pad + "    pass"]
+
+
+#: How each dispatch loop renders a control transfer.  A threaded closure
+#: returns the next pc, or -1 (return; the value is in ``retslot``) or -2
+#: (call; callee, arguments and destination are in ``pending``) to its
+#: run loop; the switch loop keeps ``(code, regs, return pc, return
+#: register)`` frames on ``stack`` itself.
+_CONTROL = {
+    "threaded": {
+        "goto": "return {0}",
+        "ret": "retslot[0] = {0}\nreturn -1",
+        "call": "pending[0] = {0}\npending[1] = {1}\npending[2] = {2}\n"
+                "return -2",
+    },
+    "switch": {
+        "goto": "pc = {0}\ncontinue",
+        "ret": "value = {0}\nif not stack:\n    return value\n"
+               "code, regs, pc, dst = stack.pop()\nif dst >= 0:\n"
+               "    regs[dst] = value\ncontinue",
+        "call": "if charge is not None:\n    charge()\n"
+                "stack.append((code, regs, pc + 1, {2}))\ncode = {0}.code\n"
+                "regs = [None] * {0}.num_regs\nregs[: {0}.num_params] = {1}\n"
+                "pc = 0\ncontinue",
+    },
+}
+_TRANSFER = re.compile(r"(goto|ret) (.*)$|(call) (\S+?)\((.*)\) -> (\S+)$")
+
+
+def _render_control(line: str, loop: str) -> List[str]:
+    """A template line, with a control transfer rendered for ``loop``."""
+    code = line.lstrip()
+    match = _TRANSFER.match(code)
+    if match is None:
+        return [line]
+    word, *args = [group for group in match.groups() if group is not None]
+    pad = line[: len(line) - len(code)]
+    return [pad + text for text in _CONTROL[loop][word].format(*args).split("\n")]
+
+
+def _compile(source: str, filename: str) -> Dict[str, Callable]:
+    """Compile generated source under ``filename`` (tracebacks name the
+    opcode, and show the line where ``linecache`` is already loaded)."""
+    linecache = sys.modules.get("linecache")
+    if linecache is not None:
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    scope: Dict[str, Callable] = {}
+    exec(compile(source, filename, "exec"), globals(), scope)
+    return scope
+
+
+#: Every opcode, indexed by its integer: the 27 base opcodes the frontends
+#: emit, then one superinstruction per fusion rule.
+OPCODES: List[Opcode] = [
+    Opcode(code, name, ((name, spec, _dedent(template)),))
+    for code, (name, spec, template) in enumerate(_BASE_OPCODES)
+]
+_BY_NAME = {op.name: op for op in OPCODES}
+for _rule in FUSION_RULES:
+    _bases = _BY_NAME[_rule.first].bases + _BY_NAME[_rule.second].bases
+    _BY_NAME[_rule.name] = Opcode(len(OPCODES), _rule.name, _bases)
+    OPCODES.append(_BY_NAME[_rule.name])
+del _rule, _bases
 
 #: Human-readable opcode names (docs/EXECUTION.md and the unit tests).
-OPCODE_NAMES = {
-    OP_RET: "ret", OP_JMP: "jmp", OP_CONDBR: "cond_br", OP_SWITCH: "switch",
-    OP_CASE: "case", OP_UNREACHABLE: "unreachable", OP_CONST: "const",
-    OP_INT: "int", OP_BIGINT: "bigint", OP_CONSTRUCT: "construct",
-    OP_GETLABEL: "getlabel", OP_PROJ: "proj", OP_PAP: "pap",
-    OP_PAPEXTEND: "papextend", OP_INC: "inc", OP_DEC: "dec",
-    OP_RESET: "reset", OP_REUSE: "reuse", OP_CALL: "call",
-    OP_RTCALL: "rtcall", OP_BADCALL: "badcall", OP_GETGLOBAL: "getglobal",
-    OP_SETGLOBAL: "setglobal", OP_BINARITH: "binarith", OP_CMP: "cmp",
-    OP_SELECT: "select", OP_CAST: "cast",
-    OP_CMP_CONDBR: "cmp_cond_br", OP_CONST_BINARITH: "const_binarith",
-    OP_CONST_CMP: "const_cmp", OP_GETLABEL_SWITCH: "getlabel_switch",
-    OP_PROJ_CALL: "proj_call", OP_CONST_CMP_CONDBR: "const_cmp_br",
-    OP_GETLABEL_CMP_CONDBR: "getlabel_cmp_br", OP_PROJ_PROJ: "proj_proj",
-    OP_INT_INC: "int_inc", OP_DEC_DEC: "dec_dec",
-    OP_INC_RTCALL: "inc_rtcall", OP_DEC_INC: "dec_inc",
-    OP_PROJ3: "proj3", OP_PROJ4: "proj4",
-}
+OPCODE_NAMES = {op.code: op.name for op in OPCODES}
 
 #: Size of the per-VM opcode frequency table.
-NUM_OPCODES = len(OPCODE_NAMES)
+NUM_OPCODES = len(OPCODES)
 
-def _divsi(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("division by zero in arith.divsi")
-    return int(a / b)
+# The opcode integers as module constants (``OP_PROJ``, ``OP_COND_BR``,
+# ``OP_GETLABEL_CMP_BR`` ...) for the compilers below and for tests that
+# assemble bytecode by hand; the switch loop compares against them too.
+globals().update({"OP_" + op.name.upper(): op.code for op in OPCODES})
 
+#: The fused opcode integers (telemetry and ``--exec-stats``).
+FUSED_OPCODES = tuple(op.code for op in OPCODES if len(op.bases) > 1)
 
-def _remsi(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("remainder by zero in arith.remsi")
-    return a - int(a / b) * b
-
-
-#: Binary arithmetic resolved to callables at compile time.  The semantics
-#: (including errors) must stay those of :func:`repro.dialects.arith.
-#: evaluate_binary` — the resolved tables exist only to skip its per-event
-#: name dispatch; a drift test compares every entry against the oracle.
-_BINARY_FNS: Dict[str, Callable[[int, int], int]] = {
-    arith.AddIOp.OP_NAME: lambda a, b: a + b,
-    arith.SubIOp.OP_NAME: lambda a, b: a - b,
-    arith.MulIOp.OP_NAME: lambda a, b: a * b,
-    arith.DivSIOp.OP_NAME: _divsi,
-    arith.RemSIOp.OP_NAME: _remsi,
-    arith.AndIOp.OP_NAME: lambda a, b: a & b,
-    arith.OrIOp.OP_NAME: lambda a, b: a | b,
-    arith.XorIOp.OP_NAME: lambda a, b: a ^ b,
+#: fused name -> base-opcode names; the ``--exec-stats --unfused``
+#: decomposition back to base-opcode counts (chain fusions decompose all
+#: the way down: ``getlabel_cmp_br`` -> getlabel, const, cmp, cond_br).
+FUSED_OPCODE_BASES = {
+    OPCODES[code].name: tuple(base[0] for base in OPCODES[code].bases)
+    for code in FUSED_OPCODES
 }
 
-#: Comparison predicates resolved to callables (semantics of
-#: :func:`repro.dialects.arith.evaluate_cmpi`; drift-tested likewise).
-_CMP_FNS: Dict[str, Callable[[int, int], int]] = {
-    "eq": lambda a, b: 1 if a == b else 0,
-    "ne": lambda a, b: 1 if a != b else 0,
-    "slt": lambda a, b: 1 if a < b else 0,
-    "sle": lambda a, b: 1 if a <= b else 0,
-    "sgt": lambda a, b: 1 if a > b else 0,
-    "sge": lambda a, b: 1 if a >= b else 0,
-    "ult": lambda a, b: 1 if abs(a) < abs(b) else 0,
-    "ule": lambda a, b: 1 if abs(a) <= abs(b) else 0,
-    "ugt": lambda a, b: 1 if abs(a) > abs(b) else 0,
-    "uge": lambda a, b: 1 if abs(a) >= abs(b) else 0,
-}
+#: The switch loop's arm order: hottest first (an arm's position is the
+#: number of comparisons that reach it).
+_SWITCH_ORDER = (
+    "binarith", "cmp", "cmp_cond_br", "jmp", "cond_br", "case", "switch",
+    "getlabel_switch", "const_cmp_br", "getlabel_cmp_br", "call", "ret",
+    "proj", "proj_call", "construct", "int", "const", "const_binarith",
+    "const_cmp", "getlabel", "inc", "dec", "proj_proj", "int_inc", "dec_dec",
+    "dec_inc", "proj3", "proj4", "inc_rtcall", "select", "rtcall", "pap",
+    "papextend", "reuse", "reset", "bigint", "cast", "getglobal", "setglobal",
+    "unreachable", "badcall",
+)
+
+#: The VM state the switch loop binds at entry.
+_SWITCH_LOCALS = ("counts", "heap", "charge")
+_SWITCH_HEAD = "def run_switch(vm, fn, regs):\n    code = fn.code\n" + "".join(
+    f"    {name} = {_VM_STATE[name]}\n" for name in _SWITCH_LOCALS
+) + """\
+    freq = vm.opcode_counts
+    stack = []
+    pc = 0
+    while True:
+        ins = code[pc]
+        opcode = ins[0]
+        freq[opcode] += 1
+"""
+
+
+def _switch_loop() -> Callable:
+    """Generate the tuple-decoding oracle loop from the table: one
+    ``if``/``elif`` arm per opcode with its charges inline and its operands
+    read as ``ins[k]``; ``call``/``ret`` push and pop explicit ``(code,
+    regs, return pc, return register)`` frames."""
+    if sorted(_SWITCH_ORDER) != sorted(_BY_NAME):
+        raise ValueError("_SWITCH_ORDER must list every opcode once")
+    unbound = {n: e for n, e in _VM_STATE.items() if n not in _SWITCH_LOCALS}
+    arms = []
+    for number, name in enumerate(_SWITCH_ORDER):
+        keyword = "elif" if number else "if"
+        arms.append(f"        {keyword} opcode == OP_{name.upper()}:")
+        op = _BY_NAME[name]
+        for line in _emit(op.tree, op.conditions):
+            if line.startswith("@"):
+                event = line[1:] if line[1] == "$" else repr(line[1:])
+                line = f"counts[{event}] += 1"
+            arms.extend(
+                "            " + _inline(text, unbound)
+                for text in _render_control(line, "switch")
+            )
+    source = _SWITCH_HEAD + "\n".join(arms) + (
+        "\n        else:\n"
+        '            raise vm._error(f"invalid opcode {opcode}")\n'
+        "        pc += 1\n"
+    )
+    return _compile(source, "<bytecode:switch>")["run_switch"]
 
 
 class BytecodeFunction:
@@ -286,261 +769,53 @@ class _Label:
     def __init__(self):
         self.pc: Optional[int] = None
 
-
-def _resolve_labels(code: List[Tuple]) -> List[Tuple]:
-    """Replace :class:`_Label` references (including dict values) with pcs."""
-    resolved = []
-    for ins in code:
-        out = []
-        for element in ins:
-            if isinstance(element, _Label):
-                out.append(element.pc)
-            elif isinstance(element, dict):
-                out.append({
-                    key: value.pc if isinstance(value, _Label) else value
-                    for key, value in element.items()
-                })
-            else:
-                out.append(element)
-        resolved.append(tuple(out))
-    return resolved
+    def resolve(self) -> int:
+        return self.pc
 
 
 # ---------------------------------------------------------------------------
 # Superinstruction fusion
 # ---------------------------------------------------------------------------
 # A peephole over resolved code arrays.  A pair (A at pc, B at pc+1) fuses
-# when B is not a jump target (a jump landing *on* A still executes both,
-# exactly like the unfused sequence) and the pair's rule matcher accepts
-# the operands.  Fused instructions keep writing A's destination register,
-# so no liveness information is needed, and they charge the exact
-# cost-model events of the unfused pair — fusion is invisible to
-# ExecutionMetrics, heap statistics and results.
+# when B is not a jump target (a jump landing *on* A still executes both)
+# and the pair's rule matches.  Fused instructions keep both halves'
+# operands, so A's destination is still written: no liveness needed.
 
-
-class FusionRule:
-    """One declarative peephole entry: adjacent ``first``+``second``
-    opcodes fuse into ``opcode`` when ``match`` accepts the pair."""
-
-    __slots__ = ("first", "second", "opcode", "match", "build")
-
-    def __init__(self, first, second, opcode, match, build):
-        self.first = first
-        self.second = second
-        self.opcode = opcode
-        self.match = match
-        self.build = build
-
-
-#: The superinstruction table.  Adding a pair is one more entry here —
-#: plus its handler in the two dispatch loops and docs/EXECUTION.md.
-FUSION_RULES = (
-    # cmp dst feeds the branch condition.
-    FusionRule(
-        OP_CMP, OP_CONDBR, OP_CMP_CONDBR,
-        match=lambda a, b: b[1] == a[1],
-        build=lambda a, b: (
-            OP_CMP_CONDBR, a[1], a[2], a[3], a[4],
-            b[2], b[3], b[4], b[5], b[6], b[7],
-        ),
-    ),
-    # const dst feeds a binary arith operand.
-    FusionRule(
-        OP_CONST, OP_BINARITH, OP_CONST_BINARITH,
-        match=lambda a, b: a[1] == b[3] or a[1] == b[4],
-        build=lambda a, b: (
-            OP_CONST_BINARITH, a[1], a[2], b[1], b[2], b[3], b[4]
-        ),
-    ),
-    # const dst feeds a comparison operand.
-    FusionRule(
-        OP_CONST, OP_CMP, OP_CONST_CMP,
-        match=lambda a, b: a[1] == b[3] or a[1] == b[4],
-        build=lambda a, b: (
-            OP_CONST_CMP, a[1], a[2], b[1], b[2], b[3], b[4]
-        ),
-    ),
-    # getlabel dst feeds the switch flag (λrc's case is pre-fused).
-    FusionRule(
-        OP_GETLABEL, OP_SWITCH, OP_GETLABEL_SWITCH,
-        match=lambda a, b: b[1] == a[1],
-        build=lambda a, b: (OP_GETLABEL_SWITCH, a[1], a[2], b[2], b[3]),
-    ),
-    # proj dst feeds a direct-call argument.
-    FusionRule(
-        OP_PROJ, OP_CALL, OP_PROJ_CALL,
-        match=lambda a, b: a[1] in b[3],
-        build=lambda a, b: (
-            OP_PROJ_CALL, a[1], a[2], a[3], b[1], b[2], b[3]
-        ),
-    ),
-    # Chain rules (picked up by the peephole's later passes): a fused
-    # const_cmp whose result feeds the branch condition, and the full
-    # constructor-tag dispatch where getlabel feeds the comparison.
-    FusionRule(
-        OP_CONST_CMP, OP_CONDBR, OP_CONST_CMP_CONDBR,
-        match=lambda a, b: b[1] == a[3],
-        build=lambda a, b: (
-            OP_CONST_CMP_CONDBR, a[1], a[2], a[3], a[4], a[5], a[6],
-            b[2], b[3], b[4], b[5], b[6], b[7],
-        ),
-    ),
-    FusionRule(
-        OP_GETLABEL, OP_CONST_CMP_CONDBR, OP_GETLABEL_CMP_CONDBR,
-        match=lambda a, b: a[1] == b[5] or a[1] == b[6],
-        build=lambda a, b: (OP_GETLABEL_CMP_CONDBR, a[1], a[2]) + b[1:],
-    ),
-    # Straight-line runs with no dataflow condition: executing the pair
-    # inside one closure is always equivalent to executing it in sequence.
-    FusionRule(
-        OP_PROJ, OP_PROJ, OP_PROJ_PROJ,
-        match=lambda a, b: True,
-        build=lambda a, b: (
-            OP_PROJ_PROJ, a[1], a[2], a[3], b[1], b[2], b[3]
-        ),
-    ),
-    FusionRule(
-        OP_INT, OP_INC, OP_INT_INC,
-        match=lambda a, b: True,
-        build=lambda a, b: (OP_INT_INC, a[1], a[2], b[1], b[2]),
-    ),
-    FusionRule(
-        OP_DEC, OP_DEC, OP_DEC_DEC,
-        match=lambda a, b: True,
-        build=lambda a, b: (OP_DEC_DEC, a[1], a[2], b[1], b[2]),
-    ),
-    FusionRule(
-        OP_INC, OP_RTCALL, OP_INC_RTCALL,
-        match=lambda a, b: b[1] >= 0,
-        build=lambda a, b: (
-            OP_INC_RTCALL, a[1], a[2], b[1], b[2], b[3]
-        ),
-    ),
-    FusionRule(
-        OP_DEC, OP_INC, OP_DEC_INC,
-        match=lambda a, b: True,
-        build=lambda a, b: (OP_DEC_INC, a[1], a[2], b[1], b[2]),
-    ),
-    # Projection runs of three and four (λrc field extraction over wide
-    # constructors): the fixpoint pass extends an already-fused proj_proj.
-    FusionRule(
-        OP_PROJ_PROJ, OP_PROJ, OP_PROJ3,
-        match=lambda a, b: True,
-        build=lambda a, b: (OP_PROJ3,) + a[1:] + b[1:],
-    ),
-    FusionRule(
-        OP_PROJ_PROJ, OP_PROJ_PROJ, OP_PROJ4,
-        match=lambda a, b: True,
-        build=lambda a, b: (OP_PROJ4,) + a[1:] + b[1:],
-    ),
-)
-
-_RULES_BY_PAIR = {(rule.first, rule.second): rule for rule in FUSION_RULES}
-
-#: The fused opcode integers (telemetry and ``--exec-stats``).
-FUSED_OPCODES = tuple(rule.opcode for rule in FUSION_RULES)
-
-
-def _base_opcodes(opcode: int) -> Tuple[int, ...]:
-    """Transitively decompose a (possibly chain-)fused opcode into the
-    base opcodes the frontends emit."""
-    for rule in FUSION_RULES:
-        if rule.opcode == opcode:
-            return _base_opcodes(rule.first) + _base_opcodes(rule.second)
-    return (opcode,)
-
-
-#: fused name -> base-opcode names; the ``--exec-stats --unfused``
-#: decomposition back to base-opcode counts (chain fusions decompose all
-#: the way down: ``getlabel_cmp_br`` -> getlabel, const, cmp, cond_br).
-FUSED_OPCODE_BASES = {
-    OPCODE_NAMES[rule.opcode]: tuple(
-        OPCODE_NAMES[base] for base in _base_opcodes(rule.opcode)
-    )
+_RULES_BY_PAIR = {
+    (_BY_NAME[rule.first].code, _BY_NAME[rule.second].code):
+        (_BY_NAME[rule.name].code, rule.match)
     for rule in FUSION_RULES
 }
 
 
 def _jump_targets(code: List[Tuple]) -> set:
-    """Every pc some instruction can transfer control to.
-
-    Handles the fused branch opcodes too: the peephole runs to fixpoint,
-    so later passes scan code that already contains superinstructions.
-    """
+    """Every pc some instruction can transfer control to (fused branch
+    opcodes included: the peephole runs to fixpoint)."""
     targets = set()
     for ins in code:
-        opcode = ins[0]
-        if opcode == OP_JMP:
-            targets.add(ins[1])
-        elif opcode == OP_CONDBR:
-            targets.add(ins[2])
-            targets.add(ins[5])
-        elif opcode == OP_CMP_CONDBR:
-            targets.add(ins[5])
-            targets.add(ins[8])
-        elif opcode == OP_CONST_CMP_CONDBR:
-            targets.add(ins[7])
-            targets.add(ins[10])
-        elif opcode == OP_GETLABEL_CMP_CONDBR:
-            targets.add(ins[9])
-            targets.add(ins[12])
-        elif opcode == OP_SWITCH:
-            targets.update(ins[2].values())
-            targets.add(ins[3])
-        elif opcode == OP_GETLABEL_SWITCH:
-            targets.update(ins[3].values())
-            targets.add(ins[4])
-        elif opcode == OP_CASE:
-            targets.update(ins[2].values())
-            if ins[3] is not None:
-                targets.add(ins[3])
+        op = OPCODES[ins[0]]
+        for slot in op.pc_slots:
+            if ins[slot] is not None:
+                targets.add(ins[slot])
+        for slot in op.table_slots:
+            targets.update(ins[slot].values())
     return targets
 
 
-def _remap_targets(ins: Tuple, mapping: Dict[int, int]) -> Tuple:
-    """Rewrite an instruction's branch targets through ``mapping``."""
-    opcode = ins[0]
-    if opcode == OP_JMP:
-        return (opcode, mapping[ins[1]], ins[2], ins[3])
-    if opcode == OP_CONDBR:
-        return (
-            opcode, ins[1], mapping[ins[2]], ins[3], ins[4],
-            mapping[ins[5]], ins[6], ins[7],
-        )
-    if opcode == OP_CMP_CONDBR:
-        return ins[:5] + (
-            mapping[ins[5]], ins[6], ins[7],
-            mapping[ins[8]], ins[9], ins[10],
-        )
-    if opcode == OP_CONST_CMP_CONDBR:
-        return ins[:7] + (
-            mapping[ins[7]], ins[8], ins[9],
-            mapping[ins[10]], ins[11], ins[12],
-        )
-    if opcode == OP_GETLABEL_CMP_CONDBR:
-        return ins[:9] + (
-            mapping[ins[9]], ins[10], ins[11],
-            mapping[ins[12]], ins[13], ins[14],
-        )
-    if opcode == OP_SWITCH:
-        return (
-            opcode, ins[1],
-            {key: mapping[pc] for key, pc in ins[2].items()},
-            mapping[ins[3]],
-        )
-    if opcode == OP_GETLABEL_SWITCH:
-        return (
-            opcode, ins[1], ins[2],
-            {key: mapping[pc] for key, pc in ins[3].items()},
-            mapping[ins[4]],
-        )
-    if opcode == OP_CASE:
-        return (
-            opcode, ins[1],
-            {key: mapping[pc] for key, pc in ins[2].items()},
-            mapping[ins[3]] if ins[3] is not None else None,
-        )
-    return ins
+def _retarget(ins: Tuple, target: Callable[[object], int]) -> Tuple:
+    """``ins`` with its branch targets (a missing default aside) passed
+    through ``target``: compilers resolve :class:`_Label` objects to pcs
+    with it, the fusion peephole maps old pcs to new ones."""
+    op = OPCODES[ins[0]]
+    if not op.pc_slots and not op.table_slots:
+        return ins
+    out = list(ins)
+    for slot in op.pc_slots:
+        if out[slot] is not None:
+            out[slot] = target(out[slot])
+    for slot in op.table_slots:
+        out[slot] = {key: target(pc) for key, pc in out[slot].items()}
+    return tuple(out)
 
 
 def fuse_code(code: List[Tuple]) -> Tuple[List[Tuple], int]:
@@ -557,17 +832,17 @@ def fuse_code(code: List[Tuple]) -> Tuple[List[Tuple], int]:
         if index + 1 < length and (index + 1) not in targets:
             follower = code[index + 1]
             rule = _RULES_BY_PAIR.get((ins[0], follower[0]))
-            if rule is not None and rule.match(ins, follower):
+            if rule is not None and rule[1](ins, follower):
                 # The follower can't be a target, so mapping it to the
                 # fused pc is only for completeness.
                 mapping[index + 1] = len(fused)
-                fused.append(rule.build(ins, follower))
+                fused.append((rule[0],) + ins[1:] + follower[1:])
                 sites += 1
                 index += 2
                 continue
         fused.append(ins)
         index += 1
-    return [_remap_targets(ins, mapping) for ins in fused], sites
+    return [_retarget(ins, mapping.__getitem__) for ins in fused], sites
 
 
 def fuse_program(program: "BytecodeProgram") -> "BytecodeProgram":
@@ -596,6 +871,17 @@ def fuse_program(program: "BytecodeProgram") -> "BytecodeProgram":
 # ---------------------------------------------------------------------------
 # CFG-form MLIR -> bytecode
 # ---------------------------------------------------------------------------
+
+
+#: Operations that compile to ``(opcode, dst, op.value)``...
+_CONSTANT_OPCODES = {
+    lp.IntOp: OP_INT, lp.BigIntOp: OP_BIGINT, arith.ConstantOp: OP_CONST,
+}
+#: ... and to ``(opcode, dst, src)``.
+_UNARY_OPCODES = {
+    lp.GetLabelOp: OP_GETLABEL, lp.ResetOp: OP_RESET,
+    arith.TruncIOp: OP_CAST, arith.ExtUIOp: OP_CAST,
+}
 
 
 class _CfgFunctionCompiler:
@@ -633,8 +919,8 @@ class _CfgFunctionCompiler:
         for block in blocks:
             labels[block].pc = len(self.code)
             for op in block:
-                self._emit(op, labels)
-        self.target.code = _resolve_labels(self.code)
+                self.code.append(self._instruction(op, labels))
+        self.target.code = [_retarget(ins, _Label.resolve) for ins in self.code]
 
     def _branch_args(self, block, values) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         return (
@@ -642,138 +928,82 @@ class _CfgFunctionCompiler:
             tuple(self.regs[a] for a in block.arguments),
         )
 
-    def _emit(self, op, labels) -> None:
-        code = self.code
+    def _instruction(self, op, labels) -> Tuple:
+        regs = self.regs
         # Terminators ---------------------------------------------------
         if isinstance(op, ReturnOp):
-            src = self.regs[op.operands[0]] if op.operands else -1
-            code.append((OP_RET, src))
-            return
+            return (OP_RET, regs[op.operands[0]] if op.operands else -1)
         if isinstance(op, cf.BranchOp):
             srcs, dsts = self._branch_args(op.dest, op.dest_operands)
-            code.append((OP_JMP, labels[op.dest], srcs, dsts))
-            return
+            return (OP_JMP, labels[op.dest], srcs, dsts)
         if isinstance(op, cf.CondBranchOp):
             tsrcs, tdsts = self._branch_args(op.true_dest, op.true_operands)
             fsrcs, fdsts = self._branch_args(op.false_dest, op.false_operands)
-            code.append((
-                OP_CONDBR, self.regs[op.condition],
+            return (
+                OP_COND_BR, regs[op.condition],
                 labels[op.true_dest], tsrcs, tdsts,
                 labels[op.false_dest], fsrcs, fdsts,
-            ))
-            return
+            )
         if isinstance(op, cf.SwitchOp):
             # setdefault keeps the FIRST entry per value, preserving the
             # tree-walker's linear-scan semantics on (unverified) duplicates.
             table = {}
             for value, dest in zip(op.case_values, op.case_dests):
                 table.setdefault(value, labels[dest])
-            code.append((
-                OP_SWITCH, self.regs[op.flag], table, labels[op.default_dest]
-            ))
-            return
+            return (OP_SWITCH, regs[op.flag], table, labels[op.default_dest])
         if isinstance(op, cf.UnreachableOp):
-            code.append((OP_UNREACHABLE, "executed cf.unreachable"))
-            return
-
-        # lp data operations --------------------------------------------
-        if isinstance(op, lp.IntOp):
-            code.append((OP_INT, self._reg(op.result()), op.value))
-            return
-        if isinstance(op, lp.BigIntOp):
-            code.append((OP_BIGINT, self._reg(op.result()), op.value))
-            return
-        if isinstance(op, lp.ConstructOp):
-            fields = self._operand_regs(op.operands)
-            category = "alloc_ctor" if fields else "move"
-            code.append(
-                (OP_CONSTRUCT, self._reg(op.result()), op.tag, fields, category)
-            )
-            return
-        if isinstance(op, lp.GetLabelOp):
-            code.append((OP_GETLABEL, self._reg(op.result()), self.regs[op.operands[0]]))
-            return
-        if isinstance(op, lp.ProjectOp):
-            code.append((
-                OP_PROJ, self._reg(op.result()), self.regs[op.operands[0]], op.index
-            ))
-            return
-        if isinstance(op, lp.PapOp):
-            callee = self.program.functions.get(op.callee)
-            arity = callee.num_params if callee is not None else None
-            code.append((
-                OP_PAP, self._reg(op.result()), op.callee, arity,
-                self._operand_regs(op.operands),
-            ))
-            return
-        if isinstance(op, lp.PapExtendOp):
-            code.append((
-                OP_PAPEXTEND, self._reg(op.result()),
-                self.regs[op.operands[0]], self._operand_regs(op.operands[1:]),
-            ))
-            return
-        if isinstance(op, lp.IncOp):
-            code.append((OP_INC, self.regs[op.operands[0]], op.count))
-            return
-        if isinstance(op, lp.DecOp):
-            code.append((OP_DEC, self.regs[op.operands[0]], op.count))
-            return
-        if isinstance(op, lp.ResetOp):
-            code.append((OP_RESET, self._reg(op.result()), self.regs[op.operands[0]]))
-            return
-        if isinstance(op, lp.ReuseOp):
-            code.append((
-                OP_REUSE, self._reg(op.result()), self.regs[op.operands[0]],
-                op.tag, self._operand_regs(op.operands[1:]),
-            ))
-            return
-
-        # Calls and globals ----------------------------------------------
+            return (OP_UNREACHABLE, "executed cf.unreachable")
+        if isinstance(op, SetGlobalOp):
+            return (OP_SETGLOBAL, op.global_name, regs[op.operands[0]])
+        if isinstance(op, (lp.IncOp, lp.DecOp)):
+            opcode = OP_INC if isinstance(op, lp.IncOp) else OP_DEC
+            return (opcode, regs[op.operands[0]], op.count)
         if isinstance(op, CallOp):
             dst = self._reg(op.result()) if op.results else -1
             args = self._operand_regs(op.operands)
             callee = self.program.functions.get(op.callee)
             if callee is not None:
-                code.append((OP_CALL, dst, callee, args))
-            elif is_builtin(op.callee):
-                code.append((OP_RTCALL, dst, op.callee, args))
-            else:
-                code.append((OP_BADCALL, op.callee))
-            return
+                return (OP_CALL, dst, callee, args)
+            if is_builtin(op.callee):
+                return (OP_RTCALL, dst, op.callee, args)
+            return (OP_BADCALL, op.callee)
+
+        # Everything else defines one result --------------------------
+        if isinstance(op, lp.ConstructOp):
+            fields = self._operand_regs(op.operands)
+            category = "alloc_ctor" if fields else "move"
+            return (OP_CONSTRUCT, self._reg(op.result()), op.tag, fields, category)
+        if isinstance(op, lp.PapOp):
+            callee = self.program.functions.get(op.callee)
+            arity = callee.num_params if callee is not None else None
+            return (
+                OP_PAP, self._reg(op.result()), op.callee, arity,
+                self._operand_regs(op.operands),
+            )
+        if len(op.results) != 1:
+            raise BytecodeError(f"cannot compile operation {op.name}")
+        dst = self._reg(op.result())
+        operands = self._operand_regs(op.operands)
+        opcode = _CONSTANT_OPCODES.get(type(op))
+        if opcode is not None:
+            return (opcode, dst, op.value)
+        opcode = _UNARY_OPCODES.get(type(op))
+        if opcode is not None:
+            return (opcode, dst, operands[0])
+        if isinstance(op, lp.ProjectOp):
+            return (OP_PROJ, dst, operands[0], op.index)
+        if isinstance(op, lp.PapExtendOp):
+            return (OP_PAPEXTEND, dst, operands[0], operands[1:])
+        if isinstance(op, lp.ReuseOp):
+            return (OP_REUSE, dst, operands[0], op.tag, operands[1:])
         if isinstance(op, GetGlobalOp):
-            code.append((OP_GETGLOBAL, self._reg(op.result()), op.global_name))
-            return
-        if isinstance(op, SetGlobalOp):
-            code.append((OP_SETGLOBAL, op.global_name, self.regs[op.operands[0]]))
-            return
-
-        # arith -----------------------------------------------------------
-        if isinstance(op, arith.ConstantOp):
-            code.append((OP_CONST, self._reg(op.result()), op.value))
-            return
+            return (OP_GETGLOBAL, dst, op.global_name)
         if isinstance(op, arith.CmpIOp):
-            code.append((
-                OP_CMP, self._reg(op.result()), _CMP_FNS[op.predicate],
-                self.regs[op.operands[0]], self.regs[op.operands[1]],
-            ))
-            return
+            return (OP_CMP, dst, arith.CMP_FNS[op.predicate]) + operands
         if isinstance(op, arith.SelectOp):
-            code.append((
-                OP_SELECT, self._reg(op.result()), self.regs[op.operands[0]],
-                self.regs[op.operands[1]], self.regs[op.operands[2]],
-            ))
-            return
-        binary = _BINARY_FNS.get(op.name)
-        if binary is not None:
-            code.append((
-                OP_BINARITH, self._reg(op.result()), binary,
-                self.regs[op.operands[0]], self.regs[op.operands[1]],
-            ))
-            return
-        if isinstance(op, (arith.TruncIOp, arith.ExtUIOp)):
-            code.append((OP_CAST, self._reg(op.result()), self.regs[op.operands[0]]))
-            return
-
+            return (OP_SELECT, dst) + operands
+        if op.name in arith.BINARY_FNS:
+            return (OP_BINARITH, dst, arith.BINARY_FNS[op.name]) + operands
         raise BytecodeError(f"cannot compile operation {op.name}")
 
 
@@ -838,7 +1068,7 @@ class _RcFunctionCompiler:
             body, env, joins, label = self.pending.pop(0)
             label.pc = len(self.code)
             self._emit_body(body, env, joins)
-        self.target.code = _resolve_labels(self.code)
+        self.target.code = [_retarget(ins, _Label.resolve) for ins in self.code]
 
     # -- bodies -----------------------------------------------------------
     def _emit_body(self, body, env: Dict[str, int], joins: Dict[str, Tuple]) -> None:
@@ -846,17 +1076,14 @@ class _RcFunctionCompiler:
         while True:
             if isinstance(body, rc_ir.Let):
                 dst = self._new_reg()
-                self._emit_expr(body.expr, env, dst)
+                code.append(self._expression(body.expr, env, dst))
                 env = dict(env)
                 env[body.var] = dst
                 body = body.body
                 continue
-            if isinstance(body, rc_ir.Inc):
-                code.append((OP_INC, env[body.var], body.count))
-                body = body.body
-                continue
-            if isinstance(body, rc_ir.Dec):
-                code.append((OP_DEC, env[body.var], body.count))
+            if isinstance(body, (rc_ir.Inc, rc_ir.Dec)):
+                opcode = OP_INC if isinstance(body, rc_ir.Inc) else OP_DEC
+                code.append((opcode, env[body.var], body.count))
                 body = body.body
                 continue
             if isinstance(body, rc_ir.Ret):
@@ -905,52 +1132,38 @@ class _RcFunctionCompiler:
             raise BytecodeError(f"unknown body node {body!r}")
 
     # -- expressions ------------------------------------------------------
-    def _emit_expr(self, expr, env: Dict[str, int], dst: int) -> None:
-        code = self.code
+    def _expression(self, expr, env: Dict[str, int], dst: int) -> Tuple:
         if isinstance(expr, rc_ir.Lit):
             # The λrc tree-walker charges every literal as a register move
             # (big integers included), unlike the lp dialect's lp.bigint.
-            code.append((OP_INT, dst, expr.value))
-            return
+            return (OP_INT, dst, expr.value)
         if isinstance(expr, rc_ir.Ctor):
             fields = tuple(env[a] for a in expr.args)
             category = "alloc_ctor" if fields else "move"
-            code.append((OP_CONSTRUCT, dst, expr.tag, fields, category))
-            return
+            return (OP_CONSTRUCT, dst, expr.tag, fields, category)
         if isinstance(expr, rc_ir.Proj):
-            code.append((OP_PROJ, dst, env[expr.var], expr.index))
-            return
+            return (OP_PROJ, dst, env[expr.var], expr.index)
         if isinstance(expr, rc_ir.Reset):
-            code.append((OP_RESET, dst, env[expr.var]))
-            return
+            return (OP_RESET, dst, env[expr.var])
         if isinstance(expr, rc_ir.Reuse):
-            code.append((
-                OP_REUSE, dst, env[expr.token], expr.tag,
-                tuple(env[a] for a in expr.args),
-            ))
-            return
+            fields = tuple(env[a] for a in expr.args)
+            return (OP_REUSE, dst, env[expr.token], expr.tag, fields)
         if isinstance(expr, rc_ir.Call):
             args = tuple(env[a] for a in expr.args)
             # The λrc tree-walker tries the runtime builtins *before* the
             # program's own functions; mirror that resolution order.
             if is_builtin(expr.fn):
-                code.append((OP_RTCALL, dst, expr.fn, args))
-            elif expr.fn in self.program.functions:
-                code.append((OP_CALL, dst, self.program.functions[expr.fn], args))
-            else:
-                code.append((OP_BADCALL, expr.fn))
-            return
+                return (OP_RTCALL, dst, expr.fn, args)
+            if expr.fn in self.program.functions:
+                return (OP_CALL, dst, self.program.functions[expr.fn], args)
+            return (OP_BADCALL, expr.fn)
         if isinstance(expr, rc_ir.PAp):
             callee = self.program.functions.get(expr.fn)
             arity = callee.num_params if callee is not None else None
-            code.append((OP_PAP, dst, expr.fn, arity, tuple(env[a] for a in expr.args)))
-            return
+            return (OP_PAP, dst, expr.fn, arity, tuple(env[a] for a in expr.args))
         if isinstance(expr, rc_ir.App):
-            code.append((
-                OP_PAPEXTEND, dst, env[expr.closure],
-                tuple(env[a] for a in expr.args),
-            ))
-            return
+            args = tuple(env[a] for a in expr.args)
+            return (OP_PAPEXTEND, dst, env[expr.closure], args)
         raise BytecodeError(f"unknown expression {expr!r}")
 
 
@@ -972,59 +1185,8 @@ def compile_rc_program(
 # The VM
 # ---------------------------------------------------------------------------
 
-#: Per-opcode cost-model events that are fixed at compile time.  The
-#: threaded dispatcher counts executions per instruction *site* and
-#: derives charge counts (and opcode frequencies) from this table when a
-#: run flushes — one list increment per instruction instead of dict
-#: updates in the hot loop.  ``None`` marks ``construct``, whose category
-#: is per-site (``ins[4]``); empty tuples mark the dynamically-charged
-#: opcodes (``reuse``, ``papextend``) whose closures charge inline.
-#: Partial-charge error paths (``proj`` raising before its ``rc`` charge,
-#: ``getlabel_switch`` raising before its ``branch`` charge) apply
-#: negative corrections to the dynamic counters before propagating.
-_STATIC_CHARGES = {
-    OP_RET: ("return",),
-    OP_JMP: ("jump",),
-    OP_CONDBR: ("branch",),
-    OP_SWITCH: ("branch",),
-    OP_CASE: ("getlabel", "arith", "branch"),
-    OP_UNREACHABLE: (),
-    OP_CONST: ("const",),
-    OP_INT: ("move",),
-    OP_BIGINT: ("runtime_call",),
-    OP_CONSTRUCT: None,
-    OP_GETLABEL: ("getlabel",),
-    OP_PROJ: ("proj", "rc"),
-    OP_PAP: ("alloc_closure",),
-    OP_PAPEXTEND: (),
-    OP_INC: ("rc",),
-    OP_DEC: ("rc",),
-    OP_RESET: ("rc",),
-    OP_REUSE: (),
-    OP_CALL: ("call",),
-    OP_RTCALL: ("runtime_call",),
-    OP_BADCALL: (),
-    OP_GETGLOBAL: ("global",),
-    OP_SETGLOBAL: ("global",),
-    OP_BINARITH: ("arith",),
-    OP_CMP: ("arith",),
-    OP_SELECT: ("arith",),
-    OP_CAST: ("arith",),
-    OP_CMP_CONDBR: ("arith", "branch"),
-    OP_CONST_BINARITH: ("const", "arith"),
-    OP_CONST_CMP: ("const", "arith"),
-    OP_GETLABEL_SWITCH: ("getlabel", "branch"),
-    OP_PROJ_CALL: ("proj", "rc", "call"),
-    OP_CONST_CMP_CONDBR: ("const", "arith", "branch"),
-    OP_GETLABEL_CMP_CONDBR: ("getlabel", "const", "arith", "branch"),
-    OP_PROJ_PROJ: ("proj", "rc", "proj", "rc"),
-    OP_INT_INC: ("move", "rc"),
-    OP_DEC_DEC: ("rc", "rc"),
-    OP_INC_RTCALL: ("rc", "runtime_call"),
-    OP_DEC_INC: ("rc", "rc"),
-    OP_PROJ3: ("proj", "rc", "proj", "rc", "proj", "rc"),
-    OP_PROJ4: ("proj", "rc", "proj", "rc", "proj", "rc", "proj", "rc"),
-}
+#: Per-opcode static charges, indexed by opcode (see :class:`Opcode`).
+_CHARGES = [op.charges for op in OPCODES]
 
 
 class VirtualMachine:
@@ -1140,8 +1302,8 @@ class VirtualMachine:
                 self._counts[category] = 0
 
     def _drain_sites(self) -> None:
-        """Fold the threaded dispatcher's per-site execution counters into
-        the charge accumulator and the opcode frequency table."""
+        """Fold the threaded sites' execution counts, times their opcodes'
+        static charges, into the charges and the frequency table."""
         counts = self._counts
         freq = self.opcode_counts
         for fn, sites in self._site_tables.items():
@@ -1150,14 +1312,11 @@ class VirtualMachine:
                 if not executed:
                     continue
                 ins = code[pc]
-                opcode = ins[0]
-                freq[opcode] += executed
-                charges = _STATIC_CHARGES[opcode]
-                if charges is None:
-                    counts[ins[4]] += executed
-                else:
-                    for category in charges:
-                        counts[category] += executed
+                freq[ins[0]] += executed
+                for event in _CHARGES[ins[0]]:
+                    if event.__class__ is int:
+                        event = ins[event]
+                    counts[event] += executed
                 sites[pc] = 0
 
     def instruction_frequencies(self) -> Dict[str, int]:
@@ -1214,15 +1373,8 @@ class VirtualMachine:
 
     # -- the interpreter loops --------------------------------------------
     def _exec(self, fn: BytecodeFunction, args: List[object]) -> object:
-        """Dispatch-mode router; both loops share the calling convention
-        (and hence this entry point) with the old recursive executor."""
-        if self.dispatch == "threaded":
-            return self._run_threaded(fn, args)
-        return self._run_switch(fn, args)
-
-    def _run_switch(self, fn: BytecodeFunction, args: List[object]) -> object:
-        """The tuple-decoding oracle loop.  ``call``/``ret`` push and pop
-        explicit ``(code, regs, return pc, return register)`` frames."""
+        """Enter ``fn`` from Python (the entry point, or a closure
+        application) and run it to its return on the selected loop."""
         fault_hit("vm.dispatch")
         if len(args) != fn.num_params:
             raise self._error(
@@ -1231,1031 +1383,86 @@ class VirtualMachine:
             )
         regs = [None] * fn.num_regs
         regs[: fn.num_params] = args
-        code = fn.code
-        counts = self._counts
-        freq = self.opcode_counts
-        heap = self.ctx.heap
-        budget = self.budget
-        if budget is not None:
-            budget.charge()
-        stack: List[Tuple] = []
-        pc = 0
-        while True:
-            ins = code[pc]
-            opcode = ins[0]
-            freq[opcode] += 1
-            if opcode == OP_BINARITH:
-                counts["arith"] += 1
-                regs[ins[1]] = ins[2](regs[ins[3]], regs[ins[4]])
-            elif opcode == OP_CMP:
-                counts["arith"] += 1
-                regs[ins[1]] = ins[2](regs[ins[3]], regs[ins[4]])
-            elif opcode == OP_CMP_CONDBR:
-                counts["arith"] += 1
-                value = ins[2](regs[ins[3]], regs[ins[4]])
-                regs[ins[1]] = value
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                if value:
-                    target, srcs, dsts = ins[5], ins[6], ins[7]
-                else:
-                    target, srcs, dsts = ins[8], ins[9], ins[10]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(dsts, values):
-                        regs[dst] = value
-                pc = target
-                continue
-            elif opcode == OP_JMP:
-                counts["jump"] += 1
-                if budget is not None:
-                    budget.charge()
-                srcs = ins[2]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(ins[3], values):
-                        regs[dst] = value
-                pc = ins[1]
-                continue
-            elif opcode == OP_CONDBR:
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                if regs[ins[1]]:
-                    target, srcs, dsts = ins[2], ins[3], ins[4]
-                else:
-                    target, srcs, dsts = ins[5], ins[6], ins[7]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(dsts, values):
-                        regs[dst] = value
-                pc = target
-                continue
-            elif opcode == OP_CASE:
-                counts["getlabel"] += 1
-                counts["arith"] += 1
-                counts["branch"] += 1
-                tag = tag_of(regs[ins[1]])
-                target = ins[2].get(tag, ins[3])
-                if target is None:
-                    raise self._error(f"no alternative for tag {tag} in case")
-                if budget is not None:
-                    budget.charge()
-                pc = target
-                continue
-            elif opcode == OP_SWITCH:
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                pc = ins[2].get(regs[ins[1]], ins[3])
-                continue
-            elif opcode == OP_GETLABEL_SWITCH:
-                counts["getlabel"] += 1
-                tag = tag_of(regs[ins[2]])
-                regs[ins[1]] = tag
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                pc = ins[3].get(tag, ins[4])
-                continue
-            elif opcode == OP_CONST_CMP_CONDBR:
-                counts["const"] += 1
-                regs[ins[1]] = ins[2]
-                counts["arith"] += 1
-                value = ins[4](regs[ins[5]], regs[ins[6]])
-                regs[ins[3]] = value
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                if value:
-                    target, srcs, dsts = ins[7], ins[8], ins[9]
-                else:
-                    target, srcs, dsts = ins[10], ins[11], ins[12]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(dsts, values):
-                        regs[dst] = value
-                pc = target
-                continue
-            elif opcode == OP_GETLABEL_CMP_CONDBR:
-                counts["getlabel"] += 1
-                tag = tag_of(regs[ins[2]])
-                regs[ins[1]] = tag
-                counts["const"] += 1
-                regs[ins[3]] = ins[4]
-                counts["arith"] += 1
-                value = ins[6](regs[ins[7]], regs[ins[8]])
-                regs[ins[5]] = value
-                counts["branch"] += 1
-                if budget is not None:
-                    budget.charge()
-                if value:
-                    target, srcs, dsts = ins[9], ins[10], ins[11]
-                else:
-                    target, srcs, dsts = ins[12], ins[13], ins[14]
-                if srcs:
-                    values = [regs[s] for s in srcs]
-                    for dst, value in zip(dsts, values):
-                        regs[dst] = value
-                pc = target
-                continue
-            elif opcode == OP_CALL:
-                counts["call"] += 1
-                callee = ins[2]
-                cargs = [regs[r] for r in ins[3]]
-                fault_hit("vm.dispatch")
-                if len(cargs) != callee.num_params:
-                    raise self._error(
-                        f"calling {callee.name} with {len(cargs)} arguments, "
-                        f"expected {callee.num_params}"
-                    )
-                if budget is not None:
-                    budget.charge()
-                stack.append((code, regs, pc + 1, ins[1]))
-                code = callee.code
-                regs = [None] * callee.num_regs
-                regs[: callee.num_params] = cargs
-                pc = 0
-                continue
-            elif opcode == OP_RET:
-                counts["return"] += 1
-                value = regs[ins[1]] if ins[1] >= 0 else None
-                if not stack:
-                    return value
-                code, regs, pc, dst = stack.pop()
-                if dst >= 0:
-                    regs[dst] = value
-                continue
-            elif opcode == OP_PROJ:
-                counts["proj"] += 1
-                value = regs[ins[2]]
-                if not isinstance(value, CtorObject):
-                    raise self._error(f"projection from non-constructor {value!r}")
-                field = value.fields[ins[3]]
-                heap.inc(field)
-                counts["rc"] += 1
-                regs[ins[1]] = field
-            elif opcode == OP_PROJ_CALL:
-                counts["proj"] += 1
-                value = regs[ins[2]]
-                if not isinstance(value, CtorObject):
-                    raise self._error(f"projection from non-constructor {value!r}")
-                field = value.fields[ins[3]]
-                heap.inc(field)
-                counts["rc"] += 1
-                regs[ins[1]] = field
-                counts["call"] += 1
-                callee = ins[5]
-                cargs = [regs[r] for r in ins[6]]
-                fault_hit("vm.dispatch")
-                if len(cargs) != callee.num_params:
-                    raise self._error(
-                        f"calling {callee.name} with {len(cargs)} arguments, "
-                        f"expected {callee.num_params}"
-                    )
-                if budget is not None:
-                    budget.charge()
-                stack.append((code, regs, pc + 1, ins[4]))
-                code = callee.code
-                regs = [None] * callee.num_regs
-                regs[: callee.num_params] = cargs
-                pc = 0
-                continue
-            elif opcode == OP_CONSTRUCT:
-                counts[ins[4]] += 1
-                regs[ins[1]] = heap.alloc_ctor(ins[2], [regs[r] for r in ins[3]])
-            elif opcode == OP_INT:
-                counts["move"] += 1
-                regs[ins[1]] = heap.alloc_int(ins[2])
-            elif opcode == OP_CONST:
-                counts["const"] += 1
-                regs[ins[1]] = ins[2]
-            elif opcode == OP_CONST_BINARITH or opcode == OP_CONST_CMP:
-                counts["const"] += 1
-                regs[ins[1]] = ins[2]
-                counts["arith"] += 1
-                regs[ins[3]] = ins[4](regs[ins[5]], regs[ins[6]])
-            elif opcode == OP_GETLABEL:
-                counts["getlabel"] += 1
-                regs[ins[1]] = tag_of(regs[ins[2]])
-            elif opcode == OP_INC:
-                counts["rc"] += 1
-                heap.inc(regs[ins[1]], ins[2])
-            elif opcode == OP_DEC:
-                counts["rc"] += 1
-                heap.dec(regs[ins[1]], ins[2])
-            elif opcode == OP_PROJ_PROJ:
-                counts["proj"] += 1
-                value = regs[ins[2]]
-                if not isinstance(value, CtorObject):
-                    raise self._error(f"projection from non-constructor {value!r}")
-                field = value.fields[ins[3]]
-                heap.inc(field)
-                counts["rc"] += 1
-                regs[ins[1]] = field
-                counts["proj"] += 1
-                value = regs[ins[5]]
-                if not isinstance(value, CtorObject):
-                    raise self._error(f"projection from non-constructor {value!r}")
-                field = value.fields[ins[6]]
-                heap.inc(field)
-                counts["rc"] += 1
-                regs[ins[4]] = field
-            elif opcode == OP_INT_INC:
-                counts["move"] += 1
-                regs[ins[1]] = heap.alloc_int(ins[2])
-                counts["rc"] += 1
-                heap.inc(regs[ins[3]], ins[4])
-            elif opcode == OP_DEC_DEC:
-                counts["rc"] += 1
-                heap.dec(regs[ins[1]], ins[2])
-                counts["rc"] += 1
-                heap.dec(regs[ins[3]], ins[4])
-            elif opcode == OP_DEC_INC:
-                counts["rc"] += 1
-                heap.dec(regs[ins[1]], ins[2])
-                counts["rc"] += 1
-                heap.inc(regs[ins[3]], ins[4])
-            elif opcode == OP_PROJ3 or opcode == OP_PROJ4:
-                base = 1
-                while base < len(ins):
-                    counts["proj"] += 1
-                    value = regs[ins[base + 1]]
-                    if not isinstance(value, CtorObject):
-                        raise self._error(
-                            f"projection from non-constructor {value!r}"
-                        )
-                    field = value.fields[ins[base + 2]]
-                    heap.inc(field)
-                    counts["rc"] += 1
-                    regs[ins[base]] = field
-                    base += 3
-            elif opcode == OP_INC_RTCALL:
-                counts["rc"] += 1
-                heap.inc(regs[ins[1]], ins[2])
-                counts["runtime_call"] += 1
-                regs[ins[3]] = call_builtin(
-                    self.ctx, ins[4], [regs[r] for r in ins[5]]
-                )
-            elif opcode == OP_SELECT:
-                counts["arith"] += 1
-                regs[ins[1]] = regs[ins[3]] if regs[ins[2]] else regs[ins[4]]
-            elif opcode == OP_RTCALL:
-                counts["runtime_call"] += 1
-                value = call_builtin(self.ctx, ins[2], [regs[r] for r in ins[3]])
-                if ins[1] >= 0:
-                    regs[ins[1]] = value
-            elif opcode == OP_PAP:
-                counts["alloc_closure"] += 1
-                if ins[3] is None:
-                    raise self._error(f"pap of unknown function {ins[2]}")
-                regs[ins[1]] = make_closure(
-                    heap, ins[2], ins[3], [regs[r] for r in ins[4]]
-                )
-            elif opcode == OP_PAPEXTEND:
-                regs[ins[1]] = self._apply_closure(
-                    regs[ins[2]], [regs[r] for r in ins[3]]
-                )
-            elif opcode == OP_REUSE:
-                token = regs[ins[2]]
-                fields = [regs[r] for r in ins[4]]
-                if isinstance(token, CtorObject):
-                    counts["reuse"] += 1
-                else:
-                    counts["alloc_ctor" if fields else "move"] += 1
-                regs[ins[1]] = heap.reuse(token, ins[3], fields)
-            elif opcode == OP_RESET:
-                counts["rc"] += 1
-                regs[ins[1]] = heap.reset(regs[ins[2]])
-            elif opcode == OP_BIGINT:
-                counts["runtime_call"] += 1
-                regs[ins[1]] = heap.alloc_int(ins[2])
-            elif opcode == OP_CAST:
-                counts["arith"] += 1
-                regs[ins[1]] = regs[ins[2]]
-            elif opcode == OP_GETGLOBAL:
-                counts["global"] += 1
-                regs[ins[1]] = self.globals.get(ins[2])
-            elif opcode == OP_SETGLOBAL:
-                counts["global"] += 1
-                self.globals[ins[1]] = regs[ins[2]]
-            elif opcode == OP_UNREACHABLE:
-                raise self._error(ins[1])
-            elif opcode == OP_BADCALL:
-                if self.program.flavor == "cfg":
-                    raise self._error(f"call of unknown function @{ins[1]}")
-                raise self._error(f"unknown function {ins[1]}")
-            else:
-                raise self._error(f"invalid opcode {opcode}")
-            pc += 1
+        if self.budget is not None:
+            self.budget.charge()
+        if self.dispatch == "threaded":
+            return self._run_threaded(fn, regs)
+        return self._run_switch(fn, regs)
 
-    def _run_threaded(self, fn: BytecodeFunction, args: List[object]) -> object:
-        """The direct-threaded loop: ``pc = ops[pc](regs)``.
+    def _run_switch(self, fn: BytecodeFunction, regs: List[object]) -> object:
+        """First switch run: generate the loop and install it in place of
+        this method (:func:`_switch_loop`)."""
+        VirtualMachine._run_switch = _switch_loop()
+        return self._run_switch(fn, regs)
 
-        Every instruction is a closure built by :meth:`_compile_threaded`
-        with its operands bound as defaults; it bumps its site counter and
-        returns the next pc.  Two negative sentinels thread control back:
-        ``-1`` returns (value in ``self._retslot``), ``-2`` calls (callee,
-        args and destination in ``self._pending``), and the loop pushes /
-        pops explicit ``(ops, regs, return pc, return register)`` frames.
-        """
-        fault_hit("vm.dispatch")
-        if len(args) != fn.num_params:
-            raise self._error(
-                f"calling {fn.name} with {len(args)} arguments, "
-                f"expected {fn.num_params}"
-            )
+    def _run_threaded(self, fn: BytecodeFunction, regs: List[object]) -> object:
+        """The direct-threaded loop: ``pc = ops[pc](regs)``, pushing and
+        popping ``(ops, regs, return pc, return register)`` frames on the
+        closures' -2 (call) and -1 (return) sentinels (see ``_CONTROL``)."""
         threaded = self._threaded
         ops = threaded.get(fn)
         if ops is None:
             ops = self._compile_threaded(fn)
-        regs = [None] * fn.num_regs
-        regs[: fn.num_params] = args
         budget = self.budget
-        if budget is not None:
-            budget.charge()
         pending = self._pending
         retslot = self._retslot
         stack: List[Tuple] = []
         pc = 0
-        while True:
-            next_pc = ops[pc](regs)
-            if next_pc >= 0:
-                pc = next_pc
-                continue
-            if next_pc == -2:
-                # Arity was checked when the call site's closure was
-                # built (it is static per site); mismatched sites compile
-                # to closures that raise instead of returning -2.
-                callee = pending[0]
-                fault_hit("vm.dispatch")
-                cargs = pending[1]
-                if budget is not None:
-                    budget.charge()
-                stack.append((ops, regs, pc + 1, pending[2]))
-                ops = threaded.get(callee)
-                if ops is None:
-                    ops = self._compile_threaded(callee)
-                regs = [None] * callee.num_regs
-                regs[: callee.num_params] = cargs
-                pc = 0
-                continue
-            value = retslot[0]
-            retslot[0] = None
-            if not stack:
-                return value
-            ops, regs, pc, dst = stack.pop()
-            if dst >= 0:
-                regs[dst] = value
+        try:
+            while True:
+                next_pc = ops[pc](regs)
+                if next_pc >= 0:
+                    pc = next_pc
+                    continue
+                if next_pc == -2:
+                    # Arity is static per call site: a mismatched site's
+                    # closure raises instead of returning -2.
+                    callee = pending[0]
+                    fault_hit("vm.dispatch")
+                    cargs = pending[1]
+                    if budget is not None:
+                        budget.charge()
+                    stack.append((ops, regs, pc + 1, pending[2]))
+                    ops = threaded.get(callee)
+                    if ops is None:
+                        ops = self._compile_threaded(callee)
+                    regs = [None] * callee.num_regs
+                    regs[: callee.num_params] = cargs
+                    pc = 0
+                    continue
+                value = retslot[0]
+                retslot[0] = None
+                if not stack:
+                    return value
+                ops, regs, pc, dst = stack.pop()
+                if dst >= 0:
+                    regs[dst] = value
+        except BaseException as error:
+            # Take back the static charges the raising closure (if it was
+            # one) had not reached; see _UNDO.
+            inner = error.__traceback__.tb_next
+            if inner is not None:
+                frame = inner.tb_frame
+                for event, n in _UNDO.get(frame.f_code, {}).get(inner.tb_lineno, ()):
+                    if event[0] == "$":
+                        event = frame.f_locals[event[1:]]
+                    self._counts[event] -= n
+            raise
 
     def _compile_threaded(self, fn: BytecodeFunction) -> List[Callable]:
         """Translate ``fn.code`` into the closure array the threaded loop
-        runs, registering its per-site execution counters.
-
-        Closures bind everything through default arguments (locals, not
-        cell lookups) and do no cost accounting beyond one list increment:
-        charges and frequencies are derived from :data:`_STATIC_CHARGES`
-        at flush time.  Only the genuinely dynamic charges (``reuse``
-        tokens, closure application) and the partial-charge error
-        corrections touch the counter dict while running.
-        """
-        code = fn.code
-        sites = [0] * len(code)
-        ops: List[Callable] = [None] * len(code)
-        counts = self._counts
-        ctx = self.ctx
-        heap = ctx.heap
-        charge = self.budget.charge if self.budget is not None else None
-        pending = self._pending
-        retslot = self._retslot
-        error = self._error
-        globals_ = self.globals
-        flavor = self.program.flavor
-        for pc, ins in enumerate(code):
+        runs, registering its per-site execution counters.  Charges and
+        frequencies are derived from the site counters at flush time."""
+        sites = [0] * len(fn.code)
+        ops = []
+        for pc, ins in enumerate(fn.code):
             opcode = ins[0]
-            nxt = pc + 1
-            if opcode == OP_BINARITH or opcode == OP_CMP:
-                def op(regs, s=sites, i=pc, d=ins[1], f=ins[2], a=ins[3],
-                       b=ins[4], n=nxt):
-                    s[i] += 1
-                    regs[d] = f(regs[a], regs[b])
-                    return n
-            elif opcode == OP_CMP_CONDBR:
-                if not ins[6] and not ins[9]:
-                    def op(regs, s=sites, i=pc, d=ins[1], f=ins[2], a=ins[3],
-                           b=ins[4], tpc=ins[5], fpc=ins[8], ch=charge):
-                        s[i] += 1
-                        value = f(regs[a], regs[b])
-                        regs[d] = value
-                        if ch is not None:
-                            ch()
-                        return tpc if value else fpc
-                else:
-                    def op(regs, s=sites, i=pc, d=ins[1], f=ins[2], a=ins[3],
-                           b=ins[4], tpc=ins[5], ts=ins[6], td=ins[7],
-                           fpc=ins[8], fs=ins[9], fd=ins[10], ch=charge):
-                        s[i] += 1
-                        value = f(regs[a], regs[b])
-                        regs[d] = value
-                        if ch is not None:
-                            ch()
-                        if value:
-                            target, srcs, dsts = tpc, ts, td
-                        else:
-                            target, srcs, dsts = fpc, fs, fd
-                        if srcs:
-                            values = [regs[x] for x in srcs]
-                            for dst, moved in zip(dsts, values):
-                                regs[dst] = moved
-                        return target
-            elif opcode == OP_JMP:
-                if not ins[2]:
-                    def op(regs, s=sites, i=pc, t=ins[1], ch=charge):
-                        s[i] += 1
-                        if ch is not None:
-                            ch()
-                        return t
-                elif len(ins[2]) == 1:
-                    def op(regs, s=sites, i=pc, t=ins[1], a=ins[2][0],
-                           d=ins[3][0], ch=charge):
-                        s[i] += 1
-                        if ch is not None:
-                            ch()
-                        regs[d] = regs[a]
-                        return t
-                else:
-                    def op(regs, s=sites, i=pc, t=ins[1], srcs=ins[2],
-                           dsts=ins[3], ch=charge):
-                        s[i] += 1
-                        if ch is not None:
-                            ch()
-                        values = [regs[x] for x in srcs]
-                        for dst, moved in zip(dsts, values):
-                            regs[dst] = moved
-                        return t
-            elif opcode == OP_CONDBR:
-                if not ins[3] and not ins[6]:
-                    def op(regs, s=sites, i=pc, c=ins[1], tpc=ins[2],
-                           fpc=ins[5], ch=charge):
-                        s[i] += 1
-                        if ch is not None:
-                            ch()
-                        return tpc if regs[c] else fpc
-                else:
-                    def op(regs, s=sites, i=pc, c=ins[1], tpc=ins[2],
-                           ts=ins[3], td=ins[4], fpc=ins[5], fs=ins[6],
-                           fd=ins[7], ch=charge):
-                        s[i] += 1
-                        if ch is not None:
-                            ch()
-                        if regs[c]:
-                            target, srcs, dsts = tpc, ts, td
-                        else:
-                            target, srcs, dsts = fpc, fs, fd
-                        if srcs:
-                            values = [regs[x] for x in srcs]
-                            for dst, moved in zip(dsts, values):
-                                regs[dst] = moved
-                        return target
-            elif opcode == OP_CASE:
-                def op(regs, s=sites, i=pc, src=ins[1], table=ins[2],
-                       default=ins[3], ch=charge, err=error, tg=tag_of):
-                    s[i] += 1
-                    tag = tg(regs[src])
-                    target = table.get(tag, default)
-                    if target is None:
-                        raise err(f"no alternative for tag {tag} in case")
-                    if ch is not None:
-                        ch()
-                    return target
-            elif opcode == OP_SWITCH:
-                def op(regs, s=sites, i=pc, flag=ins[1], table=ins[2],
-                       default=ins[3], ch=charge):
-                    s[i] += 1
-                    if ch is not None:
-                        ch()
-                    return table.get(regs[flag], default)
-            elif opcode == OP_GETLABEL_SWITCH:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2],
-                       table=ins[3], default=ins[4], ch=charge, cnt=counts,
-                       tg=tag_of):
-                    s[i] += 1
-                    try:
-                        tag = tg(regs[src])
-                    except RuntimeError_:
-                        # The unfused sequence charges getlabel but never
-                        # reaches the switch's branch charge.
-                        cnt["branch"] -= 1
-                        raise
-                    regs[d] = tag
-                    if ch is not None:
-                        ch()
-                    return table.get(tag, default)
-            elif opcode == OP_CONST_CMP_CONDBR:
-                if not ins[8] and not ins[11]:
-                    def op(regs, s=sites, i=pc, cd=ins[1], v=ins[2],
-                           d=ins[3], f=ins[4], a=ins[5], b=ins[6],
-                           tpc=ins[7], fpc=ins[10], ch=charge):
-                        s[i] += 1
-                        regs[cd] = v
-                        value = f(regs[a], regs[b])
-                        regs[d] = value
-                        if ch is not None:
-                            ch()
-                        return tpc if value else fpc
-                else:
-                    def op(regs, s=sites, i=pc, cd=ins[1], v=ins[2],
-                           d=ins[3], f=ins[4], a=ins[5], b=ins[6],
-                           tpc=ins[7], ts=ins[8], td=ins[9], fpc=ins[10],
-                           fs=ins[11], fd=ins[12], ch=charge):
-                        s[i] += 1
-                        regs[cd] = v
-                        value = f(regs[a], regs[b])
-                        regs[d] = value
-                        if ch is not None:
-                            ch()
-                        if value:
-                            target, srcs, dsts = tpc, ts, td
-                        else:
-                            target, srcs, dsts = fpc, fs, fd
-                        if srcs:
-                            values = [regs[x] for x in srcs]
-                            for dst, moved in zip(dsts, values):
-                                regs[dst] = moved
-                        return target
-            elif opcode == OP_GETLABEL_CMP_CONDBR:
-                if not ins[10] and not ins[13]:
-                    def op(regs, s=sites, i=pc, gd=ins[1], gsrc=ins[2],
-                           cd=ins[3], v=ins[4], d=ins[5], f=ins[6],
-                           a=ins[7], b=ins[8], tpc=ins[9], fpc=ins[12],
-                           ch=charge, cnt=counts, tg=tag_of):
-                        s[i] += 1
-                        try:
-                            tag = tg(regs[gsrc])
-                        except RuntimeError_:
-                            # The unfused sequence stops after getlabel.
-                            cnt["const"] -= 1
-                            cnt["arith"] -= 1
-                            cnt["branch"] -= 1
-                            raise
-                        regs[gd] = tag
-                        regs[cd] = v
-                        value = f(regs[a], regs[b])
-                        regs[d] = value
-                        if ch is not None:
-                            ch()
-                        return tpc if value else fpc
-                else:
-                    def op(regs, s=sites, i=pc, gd=ins[1], gsrc=ins[2],
-                           cd=ins[3], v=ins[4], d=ins[5], f=ins[6],
-                           a=ins[7], b=ins[8], tpc=ins[9], ts=ins[10],
-                           td=ins[11], fpc=ins[12], fs=ins[13], fd=ins[14],
-                           ch=charge, cnt=counts, tg=tag_of):
-                        s[i] += 1
-                        try:
-                            tag = tg(regs[gsrc])
-                        except RuntimeError_:
-                            cnt["const"] -= 1
-                            cnt["arith"] -= 1
-                            cnt["branch"] -= 1
-                            raise
-                        regs[gd] = tag
-                        regs[cd] = v
-                        value = f(regs[a], regs[b])
-                        regs[d] = value
-                        if ch is not None:
-                            ch()
-                        if value:
-                            target, srcs, dsts = tpc, ts, td
-                        else:
-                            target, srcs, dsts = fpc, fs, fd
-                        if srcs:
-                            values = [regs[x] for x in srcs]
-                            for dst, moved in zip(dsts, values):
-                                regs[dst] = moved
-                        return target
-            elif opcode == OP_PROJ_PROJ:
-                def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-                       d2=ins[4], s2=ins[5], i2=ins[6], heap=heap,
-                       cnt=counts, err=error, ctor=CtorObject, n=nxt):
-                    s[i] += 1
-                    value = regs[s1]
-                    if not isinstance(value, ctor):
-                        # Unfused charge stops at the first proj.
-                        cnt["rc"] -= 2
-                        cnt["proj"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i1]
-                    heap.inc(field)
-                    regs[d1] = field
-                    value = regs[s2]
-                    if not isinstance(value, ctor):
-                        cnt["rc"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i2]
-                    heap.inc(field)
-                    regs[d2] = field
-                    return n
-            elif opcode == OP_INT_INC:
-                def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], src=ins[3],
-                       k=ins[4], alloc=heap.alloc_int, inc=heap.inc, n=nxt):
-                    s[i] += 1
-                    regs[d] = alloc(v)
-                    inc(regs[src], k)
-                    return n
-            elif opcode == OP_DEC_DEC:
-                def op(regs, s=sites, i=pc, s1=ins[1], c1=ins[2], s2=ins[3],
-                       c2=ins[4], dec=heap.dec, cnt=counts, n=nxt):
-                    s[i] += 1
-                    try:
-                        dec(regs[s1], c1)
-                    except RuntimeError_:
-                        # Unfused charge stops at the first dec.
-                        cnt["rc"] -= 1
-                        raise
-                    dec(regs[s2], c2)
-                    return n
-            elif opcode == OP_DEC_INC:
-                def op(regs, s=sites, i=pc, s1=ins[1], c1=ins[2], s2=ins[3],
-                       c2=ins[4], dec=heap.dec, inc=heap.inc, cnt=counts,
-                       n=nxt):
-                    s[i] += 1
-                    try:
-                        dec(regs[s1], c1)
-                    except RuntimeError_:
-                        # Unfused charge stops at the dec.
-                        cnt["rc"] -= 1
-                        raise
-                    inc(regs[s2], c2)
-                    return n
-            elif opcode == OP_PROJ3:
-                def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-                       d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
-                       i3=ins[9], heap=heap, cnt=counts, err=error,
-                       ctor=CtorObject, n=nxt):
-                    s[i] += 1
-                    value = regs[s1]
-                    if not isinstance(value, ctor):
-                        # Unfused charge stops at the failing proj.
-                        cnt["proj"] -= 2
-                        cnt["rc"] -= 3
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i1]
-                    heap.inc(field)
-                    regs[d1] = field
-                    value = regs[s2]
-                    if not isinstance(value, ctor):
-                        cnt["proj"] -= 1
-                        cnt["rc"] -= 2
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i2]
-                    heap.inc(field)
-                    regs[d2] = field
-                    value = regs[s3]
-                    if not isinstance(value, ctor):
-                        cnt["rc"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i3]
-                    heap.inc(field)
-                    regs[d3] = field
-                    return n
-            elif opcode == OP_PROJ4:
-                def op(regs, s=sites, i=pc, d1=ins[1], s1=ins[2], i1=ins[3],
-                       d2=ins[4], s2=ins[5], i2=ins[6], d3=ins[7], s3=ins[8],
-                       i3=ins[9], d4=ins[10], s4=ins[11], i4=ins[12],
-                       heap=heap, cnt=counts, err=error, ctor=CtorObject,
-                       n=nxt):
-                    s[i] += 1
-                    value = regs[s1]
-                    if not isinstance(value, ctor):
-                        # Unfused charge stops at the failing proj.
-                        cnt["proj"] -= 3
-                        cnt["rc"] -= 4
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i1]
-                    heap.inc(field)
-                    regs[d1] = field
-                    value = regs[s2]
-                    if not isinstance(value, ctor):
-                        cnt["proj"] -= 2
-                        cnt["rc"] -= 3
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i2]
-                    heap.inc(field)
-                    regs[d2] = field
-                    value = regs[s3]
-                    if not isinstance(value, ctor):
-                        cnt["proj"] -= 1
-                        cnt["rc"] -= 2
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i3]
-                    heap.inc(field)
-                    regs[d3] = field
-                    value = regs[s4]
-                    if not isinstance(value, ctor):
-                        cnt["rc"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[i4]
-                    heap.inc(field)
-                    regs[d4] = field
-                    return n
-            elif opcode == OP_INC_RTCALL:
-                impl = BUILTINS.get(ins[4])
-                if impl is not None:
-                    def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                           d=ins[3], fn_=impl, argr=ins[5], inc=heap.inc,
-                           ctx=ctx, cnt=counts, n=nxt):
-                        s[i] += 1
-                        try:
-                            inc(regs[src], k)
-                        except RuntimeError_:
-                            # Unfused charge stops at the inc.
-                            cnt["runtime_call"] -= 1
-                            raise
-                        regs[d] = fn_(ctx, [regs[r] for r in argr])
-                        return n
-                else:
-                    def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                           d=ins[3], name=ins[4], argr=ins[5], inc=heap.inc,
-                           ctx=ctx, cb=call_builtin, cnt=counts, n=nxt):
-                        s[i] += 1
-                        try:
-                            inc(regs[src], k)
-                        except RuntimeError_:
-                            cnt["runtime_call"] -= 1
-                            raise
-                        regs[d] = cb(ctx, name, [regs[r] for r in argr])
-                        return n
-            elif opcode == OP_RET:
-                if ins[1] >= 0:
-                    def op(regs, s=sites, i=pc, src=ins[1], ret=retslot):
-                        s[i] += 1
-                        ret[0] = regs[src]
-                        return -1
-                else:
-                    def op(regs, s=sites, i=pc, ret=retslot):
-                        s[i] += 1
-                        ret[0] = None
-                        return -1
-            elif opcode == OP_CALL:
-                if len(ins[3]) != ins[2].num_params:
-                    # Static arity mismatch: raise at execution time with
-                    # the loop's exact fault/error ordering.
-                    def op(regs, s=sites, i=pc, callee=ins[2],
-                           argc=len(ins[3]), err=error, fh=fault_hit):
-                        s[i] += 1
-                        fh("vm.dispatch")
-                        raise err(
-                            f"calling {callee.name} with {argc} arguments, "
-                            f"expected {callee.num_params}"
-                        )
-                else:
-                    def op(regs, s=sites, i=pc, d=ins[1], callee=ins[2],
-                           argr=ins[3], pend=pending):
-                        s[i] += 1
-                        pend[0] = callee
-                        pend[1] = [regs[r] for r in argr]
-                        pend[2] = d
-                        return -2
-            elif opcode == OP_PROJ:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], idx=ins[3],
-                       heap=heap, cnt=counts, err=error, ctor=CtorObject,
-                       n=nxt):
-                    s[i] += 1
-                    value = regs[src]
-                    if not isinstance(value, ctor):
-                        # The unfused charge stops at proj on this error.
-                        cnt["rc"] -= 1
-                        raise err(f"projection from non-constructor {value!r}")
-                    field = value.fields[idx]
-                    heap.inc(field)
-                    regs[d] = field
-                    return n
-            elif opcode == OP_PROJ_CALL:
-                if len(ins[6]) != ins[5].num_params:
-                    def op(regs, s=sites, i=pc, pd=ins[1], src=ins[2],
-                           idx=ins[3], callee=ins[5], argc=len(ins[6]),
-                           heap=heap, cnt=counts, err=error,
-                           ctor=CtorObject, fh=fault_hit):
-                        s[i] += 1
-                        value = regs[src]
-                        if not isinstance(value, ctor):
-                            cnt["rc"] -= 1
-                            cnt["call"] -= 1
-                            raise err(
-                                f"projection from non-constructor {value!r}"
-                            )
-                        field = value.fields[idx]
-                        heap.inc(field)
-                        regs[pd] = field
-                        fh("vm.dispatch")
-                        raise err(
-                            f"calling {callee.name} with {argc} arguments, "
-                            f"expected {callee.num_params}"
-                        )
-                else:
-                    def op(regs, s=sites, i=pc, pd=ins[1], src=ins[2],
-                           idx=ins[3], cd=ins[4], callee=ins[5], argr=ins[6],
-                           heap=heap, cnt=counts, err=error, ctor=CtorObject,
-                           pend=pending):
-                        s[i] += 1
-                        value = regs[src]
-                        if not isinstance(value, ctor):
-                            cnt["rc"] -= 1
-                            cnt["call"] -= 1
-                            raise err(f"projection from non-constructor {value!r}")
-                        field = value.fields[idx]
-                        heap.inc(field)
-                        regs[pd] = field
-                        pend[0] = callee
-                        pend[1] = [regs[r] for r in argr]
-                        pend[2] = cd
-                        return -2
-            elif opcode == OP_CONSTRUCT:
-                def op(regs, s=sites, i=pc, d=ins[1], tag=ins[2], fr=ins[3],
-                       alloc=heap.alloc_ctor, n=nxt):
-                    s[i] += 1
-                    regs[d] = alloc(tag, [regs[r] for r in fr])
-                    return n
-            elif opcode == OP_INT or opcode == OP_BIGINT:
-                def op(regs, s=sites, i=pc, d=ins[1], v=ins[2],
-                       alloc=heap.alloc_int, n=nxt):
-                    s[i] += 1
-                    regs[d] = alloc(v)
-                    return n
-            elif opcode == OP_CONST:
-                def op(regs, s=sites, i=pc, d=ins[1], v=ins[2], n=nxt):
-                    s[i] += 1
-                    regs[d] = v
-                    return n
-            elif opcode == OP_CONST_BINARITH or opcode == OP_CONST_CMP:
-                def op(regs, s=sites, i=pc, cd=ins[1], v=ins[2], d=ins[3],
-                       f=ins[4], a=ins[5], b=ins[6], n=nxt):
-                    s[i] += 1
-                    regs[cd] = v
-                    regs[d] = f(regs[a], regs[b])
-                    return n
-            elif opcode == OP_GETLABEL:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], tg=tag_of,
-                       n=nxt):
-                    s[i] += 1
-                    regs[d] = tg(regs[src])
-                    return n
-            elif opcode == OP_INC:
-                def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                       inc=heap.inc, n=nxt):
-                    s[i] += 1
-                    inc(regs[src], k)
-                    return n
-            elif opcode == OP_DEC:
-                def op(regs, s=sites, i=pc, src=ins[1], k=ins[2],
-                       dec=heap.dec, n=nxt):
-                    s[i] += 1
-                    dec(regs[src], k)
-                    return n
-            elif opcode == OP_SELECT:
-                def op(regs, s=sites, i=pc, d=ins[1], c=ins[2], a=ins[3],
-                       b=ins[4], n=nxt):
-                    s[i] += 1
-                    regs[d] = regs[a] if regs[c] else regs[b]
-                    return n
-            elif opcode == OP_RTCALL:
-                # Pre-resolve the builtin: BUILTINS is sealed at import
-                # time, so the per-call name lookup in call_builtin is
-                # dead weight on the hot path.  Unknown names keep the
-                # lazy call_builtin error.
-                impl = BUILTINS.get(ins[2])
-                if impl is not None and ins[1] >= 0:
-                    def op(regs, s=sites, i=pc, d=ins[1], fn_=impl,
-                           argr=ins[3], ctx=ctx, n=nxt):
-                        s[i] += 1
-                        regs[d] = fn_(ctx, [regs[r] for r in argr])
-                        return n
-                elif impl is not None:
-                    def op(regs, s=sites, i=pc, fn_=impl, argr=ins[3],
-                           ctx=ctx, n=nxt):
-                        s[i] += 1
-                        fn_(ctx, [regs[r] for r in argr])
-                        return n
-                elif ins[1] >= 0:
-                    def op(regs, s=sites, i=pc, d=ins[1], name=ins[2],
-                           argr=ins[3], ctx=ctx, cb=call_builtin, n=nxt):
-                        s[i] += 1
-                        regs[d] = cb(ctx, name, [regs[r] for r in argr])
-                        return n
-                else:
-                    def op(regs, s=sites, i=pc, name=ins[2], argr=ins[3],
-                           ctx=ctx, cb=call_builtin, n=nxt):
-                        s[i] += 1
-                        cb(ctx, name, [regs[r] for r in argr])
-                        return n
-            elif opcode == OP_PAP:
-                if ins[3] is None:
-                    def op(regs, s=sites, i=pc, name=ins[2], err=error):
-                        s[i] += 1
-                        raise err(f"pap of unknown function {name}")
-                else:
-                    def op(regs, s=sites, i=pc, d=ins[1], name=ins[2],
-                           arity=ins[3], argr=ins[4], heap=heap,
-                           mk=make_closure, n=nxt):
-                        s[i] += 1
-                        regs[d] = mk(heap, name, arity, [regs[r] for r in argr])
-                        return n
-            elif opcode == OP_PAPEXTEND:
-                def op(regs, s=sites, i=pc, d=ins[1], c=ins[2], argr=ins[3],
-                       apply=self._apply_closure, n=nxt):
-                    s[i] += 1
-                    regs[d] = apply(regs[c], [regs[r] for r in argr])
-                    return n
-            elif opcode == OP_REUSE:
-                category = "alloc_ctor" if ins[4] else "move"
-                def op(regs, s=sites, i=pc, d=ins[1], tok=ins[2], tag=ins[3],
-                       fr=ins[4], heap=heap, cnt=counts, cat=category,
-                       ctor=CtorObject, n=nxt):
-                    s[i] += 1
-                    token = regs[tok]
-                    fields = [regs[r] for r in fr]
-                    if isinstance(token, ctor):
-                        cnt["reuse"] += 1
-                    else:
-                        cnt[cat] += 1
-                    regs[d] = heap.reuse(token, tag, fields)
-                    return n
-            elif opcode == OP_RESET:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2],
-                       reset=heap.reset, n=nxt):
-                    s[i] += 1
-                    regs[d] = reset(regs[src])
-                    return n
-            elif opcode == OP_CAST:
-                def op(regs, s=sites, i=pc, d=ins[1], src=ins[2], n=nxt):
-                    s[i] += 1
-                    regs[d] = regs[src]
-                    return n
-            elif opcode == OP_GETGLOBAL:
-                def op(regs, s=sites, i=pc, d=ins[1], name=ins[2],
-                       g=globals_, n=nxt):
-                    s[i] += 1
-                    regs[d] = g.get(name)
-                    return n
-            elif opcode == OP_SETGLOBAL:
-                def op(regs, s=sites, i=pc, name=ins[1], src=ins[2],
-                       g=globals_, n=nxt):
-                    s[i] += 1
-                    g[name] = regs[src]
-                    return n
-            elif opcode == OP_UNREACHABLE:
-                def op(regs, s=sites, i=pc, err=error, msg=ins[1]):
-                    s[i] += 1
-                    raise err(msg)
-            elif opcode == OP_BADCALL:
-                if flavor == "cfg":
-                    message = f"call of unknown function @{ins[1]}"
-                else:
-                    message = f"unknown function {ins[1]}"
-                def op(regs, s=sites, i=pc, err=error, msg=message):
-                    s[i] += 1
-                    raise err(msg)
+            if opcode.__class__ is int and 0 <= opcode < NUM_OPCODES:
+                ops.append(OPCODES[opcode].closure(ins, sites, pc, self))
             else:
-                def op(regs, s=sites, i=pc, err=error, bad=opcode):
-                    s[i] += 1
-                    raise err(f"invalid opcode {bad}")
-            ops[pc] = op
+                def invalid(regs, message=f"invalid opcode {opcode}"):
+                    raise self._error(message)
+                ops.append(invalid)
         self._threaded[fn] = ops
         self._site_tables[fn] = sites
         return ops
-
-
-# ---------------------------------------------------------------------------
-# Convenience wrappers (mirror run_cfg_module / run_rc_program)
-# ---------------------------------------------------------------------------
-
-
-def run_cfg_module_vm(
-    module: ModuleOp,
-    *,
-    main: str = "main",
-    check_heap: bool = True,
-    dispatch: str = "threaded",
-    fuse: bool = True,
-) -> RunResult:
-    """Compile ``module`` to bytecode and execute ``@main`` on the VM."""
-    program = compile_cfg_module(module, main=main, fuse=fuse)
-    return VirtualMachine(program, dispatch=dispatch).run_main(
-        check_heap=check_heap
-    )
-
-
-def run_rc_program_vm(
-    program: rc_ir.Program,
-    *,
-    check_heap: bool = True,
-    dispatch: str = "threaded",
-    fuse: bool = True,
-) -> RunResult:
-    """Compile a λrc ``program`` to bytecode and execute its main on the VM."""
-    bytecode = compile_rc_program(program, fuse=fuse)
-    return VirtualMachine(bytecode, dispatch=dispatch).run_main(
-        check_heap=check_heap
-    )

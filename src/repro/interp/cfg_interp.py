@@ -279,16 +279,7 @@ class CfgInterpreter:
             condition = env[op.operands[0]]
             env[op.result()] = env[op.operands[1]] if condition else env[op.operands[2]]
             return None
-        if op.name in (
-            arith.AddIOp.OP_NAME,
-            arith.SubIOp.OP_NAME,
-            arith.MulIOp.OP_NAME,
-            arith.DivSIOp.OP_NAME,
-            arith.RemSIOp.OP_NAME,
-            arith.AndIOp.OP_NAME,
-            arith.OrIOp.OP_NAME,
-            arith.XorIOp.OP_NAME,
-        ):
+        if op.name in arith.BINARY_FNS:
             self.metrics.charge("arith")
             env[op.result()] = arith.evaluate_binary(
                 op.name, env[op.operands[0]], env[op.operands[1]]

@@ -28,16 +28,7 @@ class FoldBinaryOp(RewritePattern):
     benefit = 2
     num_operands = 2
 
-    _FOLDABLE = frozenset({
-        arith.AddIOp.OP_NAME,
-        arith.SubIOp.OP_NAME,
-        arith.MulIOp.OP_NAME,
-        arith.DivSIOp.OP_NAME,
-        arith.RemSIOp.OP_NAME,
-        arith.AndIOp.OP_NAME,
-        arith.OrIOp.OP_NAME,
-        arith.XorIOp.OP_NAME,
-    })
+    _FOLDABLE = frozenset(arith.BINARY_FNS)
     op_names = _FOLDABLE
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
@@ -47,9 +38,10 @@ class FoldBinaryOp(RewritePattern):
         rhs = _constant_value(op.operands[1])
         if lhs is None or rhs is None:
             return False
-        if op.name in (arith.DivSIOp.OP_NAME, arith.RemSIOp.OP_NAME) and rhs == 0:
-            return False
-        folded = arith.evaluate_binary(op.name, lhs, rhs)
+        try:
+            folded = arith.evaluate_binary(op.name, lhs, rhs)
+        except ZeroDivisionError:
+            return False  # division by zero traps at run time; keep it
         constant = rewriter.create(arith.ConstantOp, folded, op.results[0].type)
         rewriter.replace_op(op, constant.results)
         return True

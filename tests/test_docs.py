@@ -77,56 +77,53 @@ class TestDialectReferenceDrift:
 
 EXECUTION_MD = REPO_ROOT / "docs" / "EXECUTION.md"
 
-_TABLE_ROW_OPCODES = re.compile(r"^\| (`[^|]+`) \|", re.MULTILINE)
+_TABLE_ROW = re.compile(r"^\| (`[^|]+`) \| ([^|]*) \|", re.MULTILINE)
 _BACKTICKED = re.compile(r"`([^`]+)`")
 
 
-def documented_opcode_names() -> set:
-    """First-column backticked names from EXECUTION.md's instruction-set
-    and superinstruction tables (combined rows like ```inc` / `dec```
-    contribute every name)."""
+def documented_opcode_rows(section: str) -> dict:
+    """First-column opcode name -> second-column backticked text, from one
+    table section of EXECUTION.md."""
     text = EXECUTION_MD.read_text(encoding="utf-8")
-    names = set()
-    for section in ("## Superinstruction fusion", "## Instruction set"):
-        start = text.index(section)
-        end = text.index("\n## ", start + 1)
-        for cell in _TABLE_ROW_OPCODES.findall(text[start:end]):
-            names.update(_BACKTICKED.findall(cell))
-    return names
+    start = text.index(section)
+    end = text.index("\n## ", start + 1)
+    return {
+        _BACKTICKED.findall(name)[0]: " ".join(_BACKTICKED.findall(second))
+        for name, second in _TABLE_ROW.findall(text[start:end])
+    }
 
 
 class TestExecutionReferenceDrift:
-    """docs/EXECUTION.md cannot drift from the VM's opcode set — in
-    either direction, fused opcodes included."""
+    """docs/EXECUTION.md cannot drift from the VM's opcode table
+    (``OPCODES`` in interp/bytecode.py) in either direction."""
 
     def test_execution_md_exists(self):
         assert EXECUTION_MD.is_file(), "docs/EXECUTION.md is missing"
 
-    def test_every_opcode_is_documented(self):
-        from repro.interp.bytecode import OPCODE_NAMES
+    def test_base_opcodes_and_operands_are_documented(self):
+        from repro.interp.bytecode import FUSED_OPCODE_BASES, OPCODES
 
-        missing = sorted(set(OPCODE_NAMES.values()) - documented_opcode_names())
-        assert not missing, (
-            "opcodes defined in interp/bytecode.py but absent from "
-            f"docs/EXECUTION.md: {missing}"
+        documented = documented_opcode_rows("## Instruction set")
+        declared = {
+            op.name: ", ".join(op.operands)
+            for op in OPCODES if op.name not in FUSED_OPCODE_BASES
+        }
+        assert documented == declared, (
+            "docs/EXECUTION.md's instruction-set table (opcode: operands) "
+            "differs from OPCODES"
         )
 
-    def test_every_documented_opcode_exists(self):
-        from repro.interp.bytecode import OPCODE_NAMES
+    def test_fused_opcodes_and_expansions_are_documented(self):
+        from repro.interp.bytecode import FUSION_RULES
 
-        stale = sorted(documented_opcode_names() - set(OPCODE_NAMES.values()))
-        assert not stale, (
-            f"docs/EXECUTION.md documents unknown opcodes: {stale}"
+        documented = documented_opcode_rows("## Superinstruction fusion")
+        declared = {
+            rule.name: f"{rule.first} {rule.second}" for rule in FUSION_RULES
+        }
+        assert documented == declared, (
+            "docs/EXECUTION.md's superinstruction table (opcode: expansion) "
+            "differs from FUSION_RULES"
         )
-
-    def test_every_fused_opcode_documents_its_expansion(self):
-        from repro.interp.bytecode import FUSED_OPCODE_BASES
-
-        text = EXECUTION_MD.read_text(encoding="utf-8")
-        for fused in FUSED_OPCODE_BASES:
-            assert f"`{fused}`" in text, (
-                f"fused opcode {fused!r} missing from docs/EXECUTION.md"
-            )
 
 
 class TestIntraRepoLinks:

@@ -32,7 +32,7 @@ from repro.interp.bytecode import (
     OP_CASE,
     OP_CAST,
     OP_CMP,
-    OP_CONDBR,
+    OP_COND_BR,
     OP_CONST,
     OP_CONSTRUCT,
     OP_DEC,
@@ -53,24 +53,13 @@ from repro.interp.bytecode import (
     OP_SWITCH,
     OP_UNREACHABLE,
     OP_BINARITH,
-    OP_CMP_CONDBR,
-    OP_CONST_BINARITH,
-    OP_CONST_CMP,
-    OP_CONST_CMP_CONDBR,
-    OP_DEC_DEC,
-    OP_DEC_INC,
-    OP_GETLABEL_CMP_CONDBR,
-    OP_GETLABEL_SWITCH,
-    OP_INC_RTCALL,
-    OP_INT_INC,
-    OP_PROJ3,
-    OP_PROJ4,
     OP_PROJ_CALL,
     OP_PROJ_PROJ,
     DISPATCH_MODES,
     FUSED_OPCODE_BASES,
     FUSION_RULES,
     OPCODE_NAMES,
+    OPCODES,
     BytecodeFunction,
     BytecodeProgram,
     VirtualMachine,
@@ -79,14 +68,14 @@ from repro.interp.bytecode import (
     fuse_code,
     fuse_program,
 )
-from repro.interp.bytecode import _BINARY_FNS, _CMP_FNS
 from repro.interp.cfg_interp import CfgInterpreter, CfgInterpreterError
 from repro.interp.rc_interp import RcInterpreter
 from repro.ir import Builder, FunctionType, InsertionPoint
 from repro.ir.core import Block
 from repro.ir.types import box, i1, i64
 from repro.lambda_pure import ir as rc_ir
-from repro.runtime import RuntimeError_
+from repro.resilience.budgets import ExecutionBudget
+from repro.runtime import RuntimeError_, python_value
 
 REGRESSION = regression_programs()
 REGRESSION_BY_NAME = {p.name: p for p in REGRESSION}
@@ -254,7 +243,7 @@ class TestCfgCompilation:
         other_builder.create(cf.UnreachableOp)
         code = compile_cfg_module(module).functions["f"].code
         condbr = code[1]
-        assert condbr[0] == OP_CONDBR and condbr[1] == 0
+        assert condbr[0] == OP_COND_BR and condbr[1] == 0
         switch_pc, ret_pc = condbr[2], condbr[5]
         assert code[switch_pc][0] == OP_SWITCH
         assert code[switch_pc][2] == {3: ret_pc, 5: ret_pc}
@@ -577,34 +566,74 @@ class TestEngineSelection:
         assert vm_report == tree_report
 
 
-class TestResolvedArithmeticDrift:
-    """The VM's resolved callables must track the shared arith helpers."""
+class TestArithSemanticsTable:
+    """``arith.BINARY_FNS`` / ``CMP_FNS`` are the one definition of arith
+    semantics: the folder and the tree-walkers look them up by name, the VM
+    holds the same callables."""
 
-    GRID = [-7, -2, -1, 0, 1, 2, 3, 7, 10]
+    def test_binary_edge_values(self):
+        cases = {
+            "arith.addi": [((-7, 2), -5)],
+            "arith.subi": [((-7, 2), -9)],
+            "arith.muli": [((-7, 2), -14)],
+            # Signed division truncates toward zero, like C.
+            "arith.divsi": [((-7, 2), -3), ((7, -2), -3), ((-7, -2), 3)],
+            # The remainder takes the dividend's sign.
+            "arith.remsi": [((-7, 2), -1), ((7, -2), 1), ((-7, -2), -1)],
+            "arith.andi": [((-7, 2), 0), ((6, 3), 2)],
+            "arith.ori": [((-7, 2), -5), ((4, 1), 5)],
+            "arith.xori": [((-7, 2), -5), ((6, 3), 5)],
+        }
+        assert set(cases) == set(arith.BINARY_FNS)
+        for name, rows in cases.items():
+            for (lhs, rhs), expected in rows:
+                assert arith.BINARY_FNS[name](lhs, rhs) == expected, name
+                assert arith.evaluate_binary(name, lhs, rhs) == expected, name
 
-    def test_binary_fns_match_evaluate_binary(self):
-        from repro.interp.bytecode import _BINARY_FNS
+    def test_division_by_zero_messages(self):
+        for name, message in (
+            ("arith.divsi", "division by zero in arith.divsi"),
+            ("arith.remsi", "remainder by zero in arith.remsi"),
+        ):
+            with pytest.raises(ZeroDivisionError) as info:
+                arith.evaluate_binary(name, 5, 0)
+            assert str(info.value) == message
 
-        for name, fn in _BINARY_FNS.items():
-            for a in self.GRID:
-                for b in self.GRID:
-                    try:
-                        expected = arith.evaluate_binary(name, a, b)
-                    except ZeroDivisionError as oracle_error:
-                        with pytest.raises(ZeroDivisionError) as info:
-                            fn(a, b)
-                        assert str(info.value) == str(oracle_error)
-                        continue
-                    assert fn(a, b) == expected, (name, a, b)
+    def test_unknown_names_raise_key_error(self):
+        with pytest.raises(KeyError) as info:
+            arith.evaluate_binary("arith.shli", 1, 2)
+        assert info.value.args == ("not a foldable binary op: arith.shli",)
+        with pytest.raises(KeyError) as info:
+            arith.evaluate_cmpi("lt", 1, 2)
+        assert info.value.args == ("lt",)
 
-    def test_cmp_fns_match_evaluate_cmpi(self):
-        from repro.interp.bytecode import _CMP_FNS
+    def test_cmp_predicates(self):
+        # Operands (-5, 3), (-4, 4) and (3, 3): signed order, then the
+        # unsigned predicates, which compare magnitudes (|-5| > 3).
+        expected = {
+            "eq": (0, 0, 1), "ne": (1, 1, 0),
+            "slt": (1, 1, 0), "sle": (1, 1, 1),
+            "sgt": (0, 0, 0), "sge": (0, 0, 1),
+            "ult": (0, 0, 0), "ule": (0, 1, 1),
+            "ugt": (1, 0, 0), "uge": (1, 1, 1),
+        }
+        assert tuple(expected) == arith.CMP_PREDICATES == tuple(arith.CMP_FNS)
+        for predicate, row in expected.items():
+            got = tuple(
+                arith.evaluate_cmpi(predicate, lhs, rhs)
+                for lhs, rhs in ((-5, 3), (-4, 4), (3, 3))
+            )
+            assert got == row, predicate
 
-        assert set(_CMP_FNS) == set(arith.CMP_PREDICATES)
-        for predicate, fn in _CMP_FNS.items():
-            for a in self.GRID:
-                for b in self.GRID:
-                    assert fn(a, b) == arith.evaluate_cmpi(predicate, a, b)
+    def test_vm_holds_the_table_callables(self):
+        module, func, builder = cfg_function(results=(i64,))
+        one = builder.create(arith.ConstantOp, 1)
+        builder.create(arith.RemSIOp, one.result(), one.result())
+        compared = builder.create(arith.CmpIOp, "ult", one.result(), one.result())
+        builder.create(ReturnOp, [compared.result()])
+        code = compile_cfg_module(module).functions["f"].code
+        assert code[1][2] is arith.BINARY_FNS["arith.remsi"]
+        assert code[2][2] is arith.CMP_FNS["ult"]
 
 
 class TestSwitchDispatchTable:
@@ -622,201 +651,225 @@ class TestSwitchDispatchTable:
 # VM 2.0: superinstruction fusion, dispatch modes, the explicit call stack
 # ---------------------------------------------------------------------------
 
+_EQ = arith.CMP_FNS["eq"]
+_LT = arith.CMP_FNS["slt"]
+_ADD = arith.BINARY_FNS["arith.addi"]
 
-def _vm_program(code, num_regs, *, num_params=0, extras=()):
-    """Hand-assemble a one-function cfg-flavour program for fusion units."""
-    program = BytecodeProgram("cfg")
-    fn = BytecodeFunction("main", num_params)
-    fn.num_regs = num_regs
-    fn.code = list(code)
-    program.functions["main"] = fn
-    for extra in extras:
-        program.functions[extra.name] = extra
-    return program
-
-
-def _identity_callee():
-    callee = BytecodeFunction("callee", 1)
-    callee.num_regs = 1
-    callee.code = [(OP_RET, 0)]
-    return callee
+#: How each base opcode of a fusion rule can fail inside a fused chain.
+_FAULT_MODES = {
+    "const": (), "int": (),
+    "cmp": ("bad-operand",), "binarith": ("bad-operand",),
+    "cond_br": ("budget",), "switch": ("budget",),
+    "call": ("arity", "budget"),
+    "getlabel": ("non-constructor",),
+    "proj": ("non-constructor", "freed-field"),
+    "inc": ("freed",), "dec": ("freed",),
+    "rtcall": ("unknown-builtin",),
+}
 
 
-_EQ = _CMP_FNS["eq"]
-_LT = _CMP_FNS["slt"]
-_ADD = _BINARY_FNS["arith.addi"]
+class _ChainAssembler:
+    """Hand-assembles a cfg-flavour ``main(p)`` that runs the base opcodes
+    of one fusion rule back to back, wired so the rule's dataflow match
+    holds (each base consumes the registers the bases before it produced),
+    with the base at one position made to fail.
 
-
-def _superinstruction_cases():
-    """(fused opcode, program factory, argument tuples) per fusion rule.
-
-    Every factory builds a program whose peephole-eligible pair (or
-    chain) covers one entry of ``FUSION_RULES``; the test below runs each
-    fused/unfused x threaded/switch and diffs the observables.
+    Layout: set-up; a ``cast`` barrier no rule fuses across; the chain;
+    then tails ``@T`` / ``@F`` that publish the chain's results as globals
+    and return 111 / 222 (a chain that does not branch runs into ``@T``).
     """
-    cases = []
-    cases.append((OP_CMP_CONDBR, lambda: _vm_program([
-        (OP_CMP, 2, _LT, 0, 1),
-        (OP_CONDBR, 2, 2, (), (), 4, (), ()),
-        (OP_CONST, 3, 42), (OP_RET, 3),
-        (OP_CONST, 3, 7), (OP_RET, 3),
-    ], 4, num_params=2), [(1, 2), (2, 1)]))
-    cases.append((OP_CONST_BINARITH, lambda: _vm_program([
-        (OP_CONST, 1, 5),
-        (OP_BINARITH, 2, _ADD, 0, 1),
-        (OP_RET, 2),
-    ], 3, num_params=1), [(4,)]))
-    cases.append((OP_CONST_CMP, lambda: _vm_program([
-        (OP_CONST, 1, 5),
-        (OP_CMP, 2, _EQ, 0, 1),
-        (OP_RET, 2),
-    ], 3, num_params=1), [(5,), (4,)]))
-    cases.append((OP_GETLABEL_SWITCH, lambda: _vm_program([
-        (OP_CONSTRUCT, 0, 1, (), "move"),
-        (OP_GETLABEL, 1, 0),
-        (OP_SWITCH, 1, {1: 3}, 5),
-        (OP_CONST, 2, 10), (OP_RET, 2),
-        (OP_CONST, 2, 20), (OP_RET, 2),
-    ], 3), [()]))
-    cases.append((OP_PROJ_CALL, lambda: _vm_program([
-        (OP_INT, 0, 3),
-        (OP_CONSTRUCT, 1, 1, (0,), "alloc_ctor"),
-        (OP_PROJ, 2, 1, 0),
-        (OP_CALL, 3, None, (2,)),  # callee patched below
-        (OP_RET, 3),
-    ], 4), [()]))
-    cases.append((OP_CONST_CMP_CONDBR, lambda: _vm_program([
-        (OP_CONST, 1, 5),
-        (OP_CMP, 2, _EQ, 0, 1),
-        (OP_CONDBR, 2, 3, (), (), 5, (), ()),
-        (OP_CONST, 3, 1), (OP_RET, 3),
-        (OP_CONST, 3, 0), (OP_RET, 3),
-    ], 4, num_params=1), [(5,), (6,)]))
-    cases.append((OP_GETLABEL_CMP_CONDBR, lambda: _vm_program([
-        (OP_CONSTRUCT, 0, 2, (), "move"),
-        (OP_GETLABEL, 1, 0),
-        (OP_CONST, 2, 2),
-        (OP_CMP, 3, _EQ, 1, 2),
-        (OP_CONDBR, 3, 5, (), (), 7, (), ()),
-        (OP_CONST, 4, 111), (OP_RET, 4),
-        (OP_CONST, 4, 222), (OP_RET, 4),
-    ], 5), [()]))
-    cases.append((OP_PROJ_PROJ, lambda: _vm_program([
-        (OP_INT, 0, 1), (OP_INT, 1, 2),
-        (OP_CONSTRUCT, 2, 1, (0, 1), "alloc_ctor"),
-        (OP_PROJ, 3, 2, 0),
-        (OP_PROJ, 4, 2, 1),
-        (OP_RET, 4),
-    ], 5), [()]))
-    cases.append((OP_PROJ3, lambda: _vm_program([
-        (OP_INT, 0, 1), (OP_INT, 1, 2), (OP_INT, 2, 3),
-        (OP_CONSTRUCT, 3, 1, (0, 1, 2), "alloc_ctor"),
-        (OP_PROJ, 4, 3, 0),
-        (OP_PROJ, 5, 3, 1),
-        (OP_PROJ, 6, 3, 2),
-        (OP_RET, 6),
-    ], 7), [()]))
-    cases.append((OP_PROJ4, lambda: _vm_program([
-        (OP_INT, 0, 1), (OP_INT, 1, 2), (OP_INT, 2, 3), (OP_INT, 3, 4),
-        (OP_CONSTRUCT, 4, 1, (0, 1, 2, 3), "alloc_ctor"),
-        (OP_PROJ, 5, 4, 0),
-        (OP_PROJ, 6, 4, 1),
-        (OP_PROJ, 7, 4, 2),
-        (OP_PROJ, 8, 4, 3),
-        (OP_RET, 8),
-    ], 9), [()]))
-    cases.append((OP_INT_INC, lambda: _vm_program([
-        (OP_INT, 0, 7),
-        (OP_INC, 0, 1),
-        (OP_RET, 0),
-    ], 1), [()]))
-    cases.append((OP_DEC_DEC, lambda: _vm_program([
-        (OP_INT, 0, 5), (OP_INT, 1, 6),
-        (OP_DEC, 0, 1),
-        (OP_DEC, 1, 1),
-        (OP_CONST, 2, 1), (OP_RET, 2),
-    ], 3), [()]))
-    cases.append((OP_DEC_INC, lambda: _vm_program([
-        (OP_INT, 0, 5), (OP_INT, 1, 6),
-        (OP_DEC, 0, 1),
-        (OP_INC, 1, 1),
-        (OP_RET, 1),
-    ], 2), [()]))
-    cases.append((OP_INC_RTCALL, lambda: _vm_program([
-        (OP_INT, 0, 5),
-        (OP_CONST, 1, 0),
-        (OP_INC, 0, 1),
-        (OP_RTCALL, 2, "lean_int_add", (0, 0)),
-        (OP_RET, 2),
-    ], 3), [()]))
-    return cases
+
+    BARRIER = (OP_CAST, 1, 0)
+
+    def __init__(self, bases, fault, moves):
+        self.num_regs = 2  # 0: the parameter p; 1: the barrier's result
+        self.setup, self.chain, self.outs = [], [], []
+        self.extras = []
+        self.budget_steps = None
+        for position, base in enumerate(bases):
+            mode = fault[1] if fault and fault[0] == position else None
+            self.chain.append(self._instance(base, mode, moves))
+
+    def reg(self):
+        self.num_regs += 1
+        return self.num_regs - 1
+
+    def emit(self, *ins):
+        self.setup.append(ins)
+        return ins[1]
+
+    def cell(self, value):
+        """A heap constructor with one (scalar) field: an object RC ops
+        really count, and free when they drop it to zero."""
+        field = self.emit(OP_INT, self.reg(), value)
+        return self.emit(OP_CONSTRUCT, self.reg(), 1, (field,), "alloc_ctor")
+
+    def out(self):
+        self.outs.append(self.reg())
+        return self.outs[-1]
+
+    def _instance(self, base, fault, moves):
+        outs = self.outs
+        if base == "const":
+            return (OP_CONST, self.out(), 2)
+        if base == "int":
+            return (OP_INT, self.out(), 7)
+        if base in ("cmp", "binarith"):
+            lhs = outs[-2] if len(outs) >= 2 else 0
+            rhs = outs[-1] if outs else self.emit(OP_CONST, self.reg(), 5)
+            if fault:
+                # Poison the right operand where it is produced, so the
+                # registers (and the rule's match) stay the same.
+                producer = self.chain if outs else self.setup
+                producer[-1] = producer[-1][:2] + (None,)
+            if base == "cmp":
+                return (OP_CMP, self.out(), _LT, lhs, rhs)
+            return (OP_BINARITH, self.out(), _ADD, lhs, rhs)
+        if base in ("cond_br", "switch"):
+            if fault:
+                self.budget_steps = 1  # the entry charge, then this one
+            flag = outs[-1]
+            if base == "switch":
+                return (OP_SWITCH, flag, {1: "@T"}, "@F")
+            moved = ((0,), (self.out(),)) if moves else ((), ())
+            return (OP_COND_BR, flag, "@T") + moved + ("@F", (), ())
+        if base == "getlabel":
+            if fault:
+                source = self.emit(OP_CONST, self.reg(), 9)
+            else:
+                q = self.emit(OP_CONST, self.reg(), 5)
+                small = self.emit(OP_CMP, self.reg(), _LT, 0, q)
+                one = self.emit(OP_CONSTRUCT, self.reg(), 1, (), "move")
+                two = self.emit(OP_CONSTRUCT, self.reg(), 2, (), "move")
+                source = self.emit(OP_SELECT, self.reg(), small, one, two)
+            return (OP_GETLABEL, self.out(), source)
+        if base == "proj":
+            field = self.cell(3)
+            source = self.emit(
+                OP_CONSTRUCT, self.reg(), 1, (field,), "alloc_ctor"
+            )
+            if fault == "non-constructor":
+                source = self.emit(OP_CONST, self.reg(), 9)
+            elif fault == "freed-field":
+                self.emit(OP_DEC, field, 1)
+            return (OP_PROJ, self.out(), source, 0)
+        if base == "call":
+            callee = BytecodeFunction(f"callee{len(self.extras)}", 1)
+            callee.num_regs = 1
+            callee.code = [(OP_RET, 0)]
+            if fault == "arity":
+                callee.num_params = callee.num_regs = 2
+            elif fault == "budget":
+                self.budget_steps = 1
+            self.extras.append(callee)
+            args = (outs[-1] if outs else 0,)
+            return (OP_CALL, self.out(), callee, args)
+        if base in ("inc", "dec"):
+            value = self.cell(4)
+            if fault:
+                self.emit(OP_DEC, value, 1)
+            return (OP_INC if base == "inc" else OP_DEC, value, 1)
+        if base == "rtcall":
+            value = self.emit(OP_INT, self.reg(), 4)
+            name = "lean_no_such_builtin" if fault else "lean_nat_add"
+            return (OP_RTCALL, self.out(), name, (value, value))
+        raise AssertionError(f"no chain instance for {base}")
+
+    def program(self):
+        head = self.setup + [self.BARRIER] + self.chain
+        publish = [(OP_SETGLOBAL, f"r{reg}", reg) for reg in self.outs]
+        tails = {}
+        code = list(head)
+        for label, value in (("@T", 111), ("@F", 222)):
+            tails[label] = len(code)
+            result = self.reg()
+            code += publish + [(OP_INT, result, value), (OP_RET, result)]
+        code = [
+            tuple(
+                tails.get(x, x) if isinstance(x, str) else
+                {k: tails.get(v, v) for k, v in x.items()}
+                if isinstance(x, dict) else x
+                for x in ins
+            )
+            for ins in code
+        ]
+        program = BytecodeProgram("cfg")
+        fn = BytecodeFunction("main", 1)
+        fn.num_regs = self.num_regs
+        fn.code = code
+        program.functions["main"] = fn
+        for extra in self.extras:
+            program.functions[extra.name] = extra
+        return program
 
 
-def _patch_callees(program):
-    """Bind OP_CALL placeholders to a real callee object."""
-    callee = _identity_callee()
-    program.functions[callee.name] = callee
-    fn = program.functions["main"]
-    fn.code = [
-        (ins[0], ins[1], callee, ins[3]) if ins[0] == OP_CALL and ins[2] is None
-        else ins
-        for ins in fn.code
-    ]
-    return program
+def _outcome(vm, run):
+    """Everything a run lets an observer see, minus dispatch frequencies."""
+    try:
+        result = run()
+        status = ("ok", result.value)
+    except Exception as error:  # the error itself is the observable
+        status = ("error", type(error).__name__, str(error))
+    published = {
+        name: value if value is None or isinstance(value, int)
+        else repr(python_value(value))
+        for name, value in vm.globals.items()
+    }
+    return (status, dict(vm.metrics.counts), vm.ctx.heap.stats.as_dict(),
+            published)
 
 
-def _run_configs(factory, args):
-    """Run fused/unfused x threaded/switch and return the four results."""
-    results = {}
-    for fused in (False, True):
-        program = _patch_callees(factory())
-        if fused:
-            fuse_program(program)
-        for dispatch in DISPATCH_MODES:
-            vm = VirtualMachine(program, dispatch=dispatch)
-            try:
-                outcome = vm.run_main(list(args), check_heap=False)
-                results[(fused, dispatch)] = (
-                    "ok", outcome.value, vm.metrics.counts,
+def _fault_cases():
+    for rule in FUSION_RULES:
+        bases = FUSED_OPCODE_BASES[rule.name]
+        faults = [None] + [
+            (position, mode)
+            for position, base in enumerate(bases)
+            for mode in _FAULT_MODES[base]
+        ]
+        for fault in faults:
+            for moves in (False, True) if bases[-1] == "cond_br" else (False,):
+                label = "ok" if fault is None else f"{fault[0]}-{fault[1]}"
+                yield pytest.param(
+                    rule, fault, moves,
+                    id=f"{rule.name}-{label}" + ("-moves" if moves else ""),
                 )
-            except Exception as error:
-                results[(fused, dispatch)] = (
-                    "error", str(error), vm.metrics.counts,
-                )
-    return results
-
-
-def _assert_configs_identical(factory, args):
-    results = _run_configs(factory, args)
-    reference = results[(False, "switch")]
-    for key, outcome in results.items():
-        assert outcome == reference, (key, outcome, reference)
 
 
 class TestSuperinstructions:
-    """One compilation + execution unit per entry of FUSION_RULES."""
+    """Fusion is invisible: for every rule and every way each base of its
+    expansion can fail, fused code gives exactly what unfused code gives
+    (value or error, metrics, heap statistics, stores) in both dispatch
+    modes, on both edges of a branch."""
 
-    CASES = _superinstruction_cases()
-
-    def test_every_fusion_rule_has_a_case(self):
-        assert {opcode for opcode, _, _ in self.CASES} == {
-            rule.opcode for rule in FUSION_RULES
-        }
-
-    @pytest.mark.parametrize(
-        "opcode,factory,arg_sets", CASES,
-        ids=[OPCODE_NAMES[opcode] for opcode, _, _ in CASES],
-    )
-    def test_pair_fuses_and_charges_identically(self, opcode, factory, arg_sets):
-        program = _patch_callees(factory())
-        before = [ins[0] for ins in program.functions["main"].code]
-        assert opcode not in before
-        fuse_program(program)
-        after = [ins[0] for ins in program.functions["main"].code]
-        assert opcode in after, OPCODE_NAMES[opcode]
-        assert program.fused and program.fused_sites > 0
-        for args in arg_sets:
-            _assert_configs_identical(factory, args)
+    @pytest.mark.parametrize("rule,fault,moves", list(_fault_cases()))
+    def test_fused_equals_unfused(self, rule, fault, moves):
+        code = {op.name: op.code for op in OPCODES}[rule.name]
+        for p in (1, 9):
+            reference = None
+            for fused in (False, True):
+                for dispatch in DISPATCH_MODES:
+                    chain = _ChainAssembler(
+                        FUSED_OPCODE_BASES[rule.name], fault, moves
+                    )
+                    program = chain.program()
+                    if fused:
+                        fuse_program(program)
+                        main = program.functions["main"].code
+                        start = main.index(chain.BARRIER) + 1
+                        assert main[start][0] == code, main
+                    budget = None
+                    if chain.budget_steps is not None:
+                        budget = ExecutionBudget(max_steps=chain.budget_steps)
+                    vm = VirtualMachine(program, dispatch=dispatch, budget=budget)
+                    outcome = _outcome(
+                        vm, lambda: vm.run_main([p], check_heap=False)
+                    )
+                    if fault is not None:
+                        assert outcome[0][0] == "error", outcome
+                    if reference is None:
+                        reference = outcome
+                    assert outcome == reference, (fused, dispatch, p)
 
     def test_fused_opcode_bases_decompose_chains(self):
         assert FUSED_OPCODE_BASES["getlabel_cmp_br"] == (
@@ -826,14 +879,28 @@ class TestSuperinstructions:
         assert FUSED_OPCODE_BASES["proj3"] == ("proj",) * 3
         assert FUSED_OPCODE_BASES["proj4"] == ("proj",) * 4
         assert FUSED_OPCODE_BASES["dec_inc"] == ("dec", "inc")
+        base_names = set(OPCODE_NAMES.values()) - set(FUSED_OPCODE_BASES)
         for bases in FUSED_OPCODE_BASES.values():
-            base_names = set(OPCODE_NAMES.values()) - set(FUSED_OPCODE_BASES)
             assert set(bases) <= base_names
+
+    def test_fused_facts_are_derived_from_the_bases(self):
+        by_name = {op.name: op for op in OPCODES}
+        for name, bases in FUSED_OPCODE_BASES.items():
+            fused = by_name[name]
+            assert fused.charges == sum(
+                (by_name[base].charges for base in bases), ()
+            )
+            assert len(fused.operands) == sum(
+                len(by_name[base].operands) for base in bases
+            )
+        assert by_name["getlabel_cmp_br"].pc_slots == [10, 13]
+        assert by_name["getlabel_switch"].table_slots == [4]
+        assert by_name["construct"].charges == (4,)  # the category operand
 
     def test_jump_target_blocks_fusion(self):
         code = [
             (OP_CMP, 2, _EQ, 0, 1),
-            (OP_CONDBR, 2, 3, (), (), 5, (), ()),
+            (OP_COND_BR, 2, 3, (), (), 5, (), ()),
             (OP_JMP, 1, (), ()),  # unreachable, but makes pc 1 a target
             (OP_CONST, 3, 1), (OP_RET, 3),
             (OP_CONST, 3, 0), (OP_RET, 3),
@@ -845,78 +912,70 @@ class TestSuperinstructions:
     def test_fusion_rules_are_declarative_and_unique(self):
         pairs = [(rule.first, rule.second) for rule in FUSION_RULES]
         assert len(pairs) == len(set(pairs))
+        names = set(OPCODE_NAMES.values())
         for rule in FUSION_RULES:
-            assert rule.opcode in OPCODE_NAMES
+            assert {rule.first, rule.second, rule.name} <= names
+
+    def test_generated_code_names_its_opcode_in_tracebacks(self):
+        import traceback
+
+        chain = _ChainAssembler(("proj", "proj"), (1, "non-constructor"), False)
+        program = fuse_program(chain.program())
+        with pytest.raises(CfgInterpreterError) as info:
+            VirtualMachine(program).run_main([1], check_heap=False)
+        text = "".join(traceback.format_tb(info.value.__traceback__))
+        assert 'File "<bytecode:proj_proj>"' in text
+        assert "projection from non-constructor" in text  # the source line
 
 
-class TestSuperinstructionErrorPaths:
-    """Fused error paths must charge exactly the unfused cost events."""
+class TestFreedFieldErrorPath:
+    """``heap.inc`` of an already-freed field raises inside ``proj``: every
+    VM configuration must stop charging where the tree-walker does (``proj``
+    charged, its ``rc`` not, nothing after it)."""
 
-    def test_proj_proj_fails_at_first_projection(self):
-        _assert_configs_identical(lambda: _vm_program([
-            (OP_CONST, 0, 9),
-            (OP_PROJ, 1, 0, 0),
-            (OP_PROJ, 2, 0, 0),
-            (OP_RET, 2),
-        ], 3), ())
+    @staticmethod
+    def module(consumer):
+        module, func, builder = cfg_function(name="main")
+        callee = FuncOp("callee", FunctionType([box], [box]))
+        inner = Builder(InsertionPoint.at_end(callee.entry_block))
+        inner.create(ReturnOp, [callee.entry_block.arguments[0]])
+        module.append(callee)
+        scalar = builder.create(lp.IntOp, 3)
+        field = builder.create(lp.ConstructOp, 1, [scalar.result()])
+        ctor = builder.create(lp.ConstructOp, 1, [field.result()])
+        builder.create(lp.DecOp, field.result(), 1)  # the ctor's field dies
+        projected = builder.create(lp.ProjectOp, ctor.result(), 0)
+        result = projected
+        if consumer == "proj":
+            result = builder.create(lp.ProjectOp, ctor.result(), 0)
+        elif consumer == "call":
+            result = builder.create(CallOp, "callee", [projected.result()], [box])
+        builder.create(ReturnOp, [result.result()])
+        return module
 
-    def test_proj3_fails_at_second_projection(self):
-        _assert_configs_identical(lambda: _vm_program([
-            (OP_INT, 0, 1),
-            (OP_CONSTRUCT, 1, 1, (0,), "alloc_ctor"),
-            (OP_PROJ, 2, 1, 0),
-            (OP_PROJ, 3, 0, 0),  # reg 0 is a boxed int, not a constructor
-            (OP_PROJ, 4, 1, 0),
-            (OP_RET, 4),
-        ], 5), ())
-
-    def test_proj4_fails_at_last_projection(self):
-        _assert_configs_identical(lambda: _vm_program([
-            (OP_INT, 0, 1),
-            (OP_CONSTRUCT, 1, 1, (0,), "alloc_ctor"),
-            (OP_PROJ, 2, 1, 0),
-            (OP_PROJ, 3, 1, 0),
-            (OP_PROJ, 4, 1, 0),
-            (OP_PROJ, 5, 0, 0),  # fails after three successful projections
-            (OP_RET, 5),
-        ], 6), ())
-
-    def test_getlabel_cmp_br_fails_reading_the_tag(self):
-        _assert_configs_identical(lambda: _vm_program([
-            (OP_CONST, 0, 9),  # machine int: tag_of raises
-            (OP_GETLABEL, 1, 0),
-            (OP_CONST, 2, 2),
-            (OP_CMP, 3, _EQ, 1, 2),
-            (OP_CONDBR, 3, 5, (), (), 7, (), ()),
-            (OP_CONST, 4, 1), (OP_RET, 4),
-            (OP_CONST, 4, 0), (OP_RET, 4),
-        ], 5), ())
-
-    def test_dec_dec_fails_at_first_dec(self):
-        _assert_configs_identical(lambda: _vm_program([
-            (OP_INT, 0, 5), (OP_INT, 1, 6),
-            (OP_DEC, 0, 1), (OP_DEC, 1, 1),
-            (OP_DEC, 0, 1), (OP_DEC, 1, 1),  # reg 0 already freed
-            (OP_RET, -1),
-        ], 2), ())
-
-    def test_dec_inc_fails_at_the_dec(self):
-        _assert_configs_identical(lambda: _vm_program([
-            (OP_INT, 0, 5), (OP_INT, 1, 6),
-            (OP_DEC, 0, 1), (OP_INC, 1, 1),
-            (OP_DEC, 0, 1), (OP_INC, 1, 1),  # reg 0 already freed
-            (OP_RET, -1),
-        ], 2), ())
-
-    def test_inc_rtcall_fails_at_the_inc(self):
-        _assert_configs_identical(lambda: _vm_program([
-            (OP_INT, 0, 5),
-            (OP_DEC, 0, 1),
-            (OP_CONST, 1, 0),
-            (OP_INC, 0, 1),  # reg 0 freed: inc raises before the builtin
-            (OP_RTCALL, 2, "lean_int_add", (0, 0)),
-            (OP_RET, 2),
-        ], 3), ())
+    @pytest.mark.parametrize(
+        "consumer,fused_opcode",
+        [(None, None), ("proj", OP_PROJ_PROJ), ("call", OP_PROJ_CALL)],
+        ids=["proj", "proj_proj", "proj_call"],
+    )
+    def test_counts_match_the_tree_walker(self, consumer, fused_opcode):
+        module = self.module(consumer)
+        tree = CfgInterpreter(module)
+        with pytest.raises(RuntimeError_, match="inc of a freed object"):
+            tree.run_main(check_heap=False)
+        expected = dict(tree.metrics.counts)
+        # The dec's rc and main's call: proj's rc, and the callee's call,
+        # never come.
+        assert (expected["proj"], expected["rc"], expected["call"]) == (1, 1, 1)
+        for fuse in (False, True):
+            program = compile_cfg_module(module, fuse=fuse)
+            if fused_opcode is not None:
+                assert (fused_opcode in opcodes(program, "main")) == fuse
+            for dispatch in DISPATCH_MODES:
+                vm = VirtualMachine(program, dispatch=dispatch)
+                with pytest.raises(RuntimeError_, match="inc of a freed object"):
+                    vm.run_main(check_heap=False)
+                assert vm.metrics.counts == expected, (fuse, dispatch)
 
 
 class TestExplicitCallStack:
